@@ -137,7 +137,11 @@ Status Engine::Cancel(RequestHandle handle) {
 }
 
 void Engine::StepUntil(double t_seconds) {
-  if (session_ == nullptr) return;
+  // SecondsToCycles converts to unsigned cycles: a negative or NaN time
+  // would wrap to the end of time and drain every queued event.
+  if (session_ == nullptr || !std::isfinite(t_seconds) || t_seconds < 0.0) {
+    return;
+  }
   session_->engine().RunUntil(session_->SecondsToCycles(t_seconds));
 }
 
@@ -161,22 +165,32 @@ bool Engine::finished(RequestHandle handle) const {
   return entries_[static_cast<std::size_t>(handle.id - 1)].finished;
 }
 
+const serving::KvBlockPool* Engine::CardPool(int card) const {
+  if (session_ == nullptr || card < 0 || card >= session_->num_cards()) {
+    return nullptr;
+  }
+  return &session_->shard(card).pool();
+}
+
 std::int64_t Engine::kv_blocks_in_use(int card) const {
-  return session_ == nullptr ? 0 : session_->shard(card).pool().used_blocks();
+  const serving::KvBlockPool* pool = CardPool(card);
+  return pool == nullptr ? 0 : pool->used_blocks();
 }
 
 std::int64_t Engine::kv_block_capacity(int card) const {
-  return session_ == nullptr ? 0 : session_->shard(card).pool().num_blocks();
+  const serving::KvBlockPool* pool = CardPool(card);
+  return pool == nullptr ? 0 : pool->num_blocks();
 }
 
 serving::KvCacheDtype Engine::kv_cache_dtype(int card) const {
-  return session_ == nullptr ? config_.scheduler.kv_cache_dtype
-                             : session_->shard(card).pool().config().dtype;
+  const serving::KvBlockPool* pool = CardPool(card);
+  return pool == nullptr ? config_.scheduler.kv_cache_dtype
+                         : pool->config().dtype;
 }
 
 serving::KvPoolStats Engine::kv_pool_stats(int card) const {
-  return session_ == nullptr ? serving::KvPoolStats{}
-                             : session_->shard(card).pool().stats();
+  const serving::KvBlockPool* pool = CardPool(card);
+  return pool == nullptr ? serving::KvPoolStats{} : pool->stats();
 }
 
 const serving::Interconnect* Engine::interconnect() const {

@@ -170,6 +170,7 @@ class Engine {
   /// Runs every event scheduled at or before `t_seconds` (arrivals,
   /// scheduler ticks, token deliveries). Time never moves backwards;
   /// repeated calls with increasing t interleave with Submit()/Cancel().
+  /// A NaN, infinite or negative `t_seconds` is a no-op.
   void StepUntil(double t_seconds);
   /// Drains the event queue: every submitted request runs to its finish.
   void RunToCompletion();
@@ -191,7 +192,9 @@ class Engine {
   /// True once `handle`'s on_finish has fired (or would have).
   bool finished(RequestHandle handle) const;
   /// KV blocks currently allocated on `card` (cancellation and
-  /// stop-token tests observe block recycling through this).
+  /// stop-token tests observe block recycling through this). The per-card
+  /// accessors below return their no-session values (0, the configured
+  /// dtype, empty stats) for a `card` outside [0, num_cards()).
   std::int64_t kv_blocks_in_use(int card) const;
   /// Total KV blocks `card`'s pool was carved into. Blocks already
   /// reflect the card's dtype: an int8 card has ~2x the blocks of an
@@ -245,6 +248,10 @@ class Engine {
     StreamCallbacks callbacks;
     bool finished = false;
   };
+
+  /// `card`'s KV pool, or null without a session or for a card outside
+  /// [0, num_cards()).
+  const serving::KvBlockPool* CardPool(int card) const;
 
   const accel::Program& program_;
   const llama::Weights& weights_;

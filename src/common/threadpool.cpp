@@ -6,10 +6,10 @@ namespace speedllm {
 
 namespace {
 // True while the current thread is executing a batch task (worker threads
-// and the dispatching caller's own share alike). Nested ParallelFor /
-// ParallelRun calls observe it and run inline, which both avoids deadlock
-// and keeps nested work deterministic. Thread-local rather than a pool
-// member so a second external caller is never mistaken for a nested one.
+// and the dispatching caller's own share alike). Nested ParallelFor calls
+// observe it and run inline, which both avoids deadlock and keeps nested
+// work deterministic. Thread-local rather than a pool member so a second
+// external caller is never mistaken for a nested one.
 thread_local bool t_in_pool_task = false;
 }  // namespace
 
@@ -39,24 +39,15 @@ void ThreadPool::WorkerLoop(unsigned worker_index) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
     Task task;
-    const std::function<void(std::size_t)>* item_fn = nullptr;
-    std::size_t n_items = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_task_.wait(lock, [&] { return shutdown_ || epoch_ != seen_epoch; });
       if (shutdown_) return;
       seen_epoch = epoch_;
-      item_fn = item_fn_;
-      n_items = n_items_;
       task = tasks_[worker_index];
     }
     t_in_pool_task = true;
-    if (item_fn != nullptr) {
-      for (std::size_t i = next_item_.fetch_add(1); i < n_items;
-           i = next_item_.fetch_add(1)) {
-        (*item_fn)(i);
-      }
-    } else if (task.fn != nullptr && task.begin < task.end) {
+    if (task.fn != nullptr && task.begin < task.end) {
       (*task.fn)(task.begin, task.end);
     }
     t_in_pool_task = false;
@@ -93,7 +84,6 @@ void ThreadPool::ParallelFor(
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    item_fn_ = nullptr;
     unsigned launched = 0;
     for (std::int64_t c = 1; c < chunks; ++c) {
       tasks_[launched].fn = &fn;
@@ -119,42 +109,6 @@ void ThreadPool::ParallelFor(
   {
     std::unique_lock<std::mutex> lock(mu_);
     cv_done_.wait(lock, [&] { return pending_ == 0; });
-  }
-}
-
-void ThreadPool::ParallelRun(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (t_in_pool_task || workers_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::lock_guard<std::mutex> caller_lock(caller_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    item_fn_ = &fn;
-    n_items_ = n;
-    next_item_.store(0, std::memory_order_relaxed);
-    for (auto& task : tasks_) {
-      task.fn = nullptr;
-      task.begin = task.end = 0;
-    }
-    pending_ = static_cast<unsigned>(workers_.size());
-    ++epoch_;
-  }
-  cv_task_.notify_all();
-
-  t_in_pool_task = true;
-  for (std::size_t i = next_item_.fetch_add(1); i < n;
-       i = next_item_.fetch_add(1)) {
-    fn(i);
-  }
-  t_in_pool_task = false;
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    item_fn_ = nullptr;
   }
 }
 

@@ -3,13 +3,11 @@
 // The CPU reference model and the quantized kernels split matmul rows
 // across a fixed pool of workers (fork/join, static partitioning -- the
 // shapes are regular so dynamic scheduling buys nothing and costs sync).
-// The parallel shard-tick driver reuses the same pool with ParallelRun
-// (one task per index, dynamic pickup) for its per-lane dispatch.
+// The discrete-event simulator and the serving layers above it are
+// single-threaded; only these kernels fan out.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -20,7 +18,7 @@ namespace speedllm {
 
 /// Fixed-size fork/join thread pool.
 ///
-/// Both entry points block until the whole batch completes. Nested calls
+/// ParallelFor blocks until the whole batch completes. Nested calls
 /// from inside a pool task run inline on the calling worker (detected via
 /// a thread-local flag, so detection works even when the nested call
 /// arrives through a different code path than the outer one). Distinct
@@ -45,13 +43,6 @@ class ThreadPool {
   void ParallelFor(std::int64_t n,
                    const std::function<void(std::int64_t, std::int64_t)>& fn);
 
-  /// Runs fn(i) for every i in [0, n), one index per task with dynamic
-  /// pickup (workers and the calling thread race on a shared counter).
-  /// Unlike ParallelFor there is no inline-below-threshold heuristic:
-  /// even n == 2 fans out, which is what the parallel tick driver needs
-  /// when each index is a long-running shard lane of uneven cost.
-  void ParallelRun(std::size_t n, const std::function<void(std::size_t)>& fn);
-
   /// Process-wide pool sized to the machine; lazily constructed.
   static ThreadPool& Global();
 
@@ -69,10 +60,7 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_done_;
-  std::vector<Task> tasks_;       // range mode: one slot per worker
-  const std::function<void(std::size_t)>* item_fn_ = nullptr;  // item mode
-  std::size_t n_items_ = 0;
-  std::atomic<std::size_t> next_item_{0};
+  std::vector<Task> tasks_;       // one slot per worker
   std::uint64_t epoch_ = 0;       // bumped per batch
   unsigned pending_ = 0;          // workers still running current batch
   bool shutdown_ = false;

@@ -30,9 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "accel/program.hpp"
@@ -108,14 +106,6 @@ struct ClusterConfig {
   std::vector<ShardRole> shard_roles;
   /// Remote-prefix arbitration at admission (see PrefixFetchPolicy).
   PrefixFetchPolicy prefix_fetch = PrefixFetchPolicy::kAuto;
-  /// Tick independent shards concurrently: the offline ClusterRouter
-  /// drives the shared engine with sim::Engine::RunParallel on the
-  /// global thread pool, one lane per card, with a deterministic
-  /// barrier at every cross-shard interaction (placement, rebalance,
-  /// handoffs, user emission hooks). Reports, token streams, and
-  /// telemetry exports are byte-identical to the serial run. Inert for
-  /// online sessions driven via engine().Run()/RunUntil().
-  bool parallel_ticking = false;
 };
 
 /// Validates the cluster-level disaggregation knobs against a card
@@ -364,14 +354,6 @@ class ClusterSession {
   std::vector<obs::MetricsRegistry::MetricId> link_metric_ids_;
   obs::MetricsRegistry::MetricId remote_hit_metric_id_ = 0;
   bool transfer_metrics_ = false;
-  // RunParallel telemetry staging: one obs::TelemetryStage per in-flight
-  // lane event, keyed by the engine's event token. begin_event creates
-  // and binds it on the worker; commit_event replays it at the barrier
-  // in exact serial order. The map is touched from worker threads, hence
-  // the mutex (replay itself runs on the driving thread only).
-  std::mutex stage_mu_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<obs::TelemetryStage>>
-      stages_;
 };
 
 /// Offline multi-card runner: one ClusterSession fed a complete

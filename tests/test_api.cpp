@@ -6,6 +6,7 @@
 // and closed-loop clients running deterministically on the shared clock.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
@@ -202,6 +203,57 @@ TEST(ApiEngineTest, StepUntilNeverDeliversTokensFromTheFuture) {
   }
   EXPECT_EQ(logs[handle->id].tokens.size(), 12u);
   EXPECT_EQ(logs[handle->id].finish, FinishReason::kLength);
+}
+
+TEST(ApiEngineTest, StepUntilIgnoresNegativeAndNanTimes) {
+  // The seconds-to-cycles conversion is unsigned, so unguarded, a negative
+  // or NaN time would wrap to the end of time and drain the queue.
+  Fixture f;
+  auto prog = f.Compile();
+  Engine engine(prog, f.weights, f.u280);
+  std::map<std::uint64_t, StreamLog> logs;
+  auto handle = engine.Submit(MakeRequest(6, 8, 1e-4), Record(logs));
+  ASSERT_TRUE(handle.ok());
+  engine.StepUntil(5e-5);  // part-way: the request has not arrived yet
+  const double now = engine.now_seconds();
+  ASSERT_FALSE(engine.idle());
+
+  for (double t : {-1.0, std::nan(""), now / 2}) {
+    engine.StepUntil(t);
+    EXPECT_EQ(engine.now_seconds(), now) << t;
+    EXPECT_FALSE(engine.idle()) << t;
+    EXPECT_TRUE(logs[handle->id].tokens.empty()) << t;
+  }
+
+  engine.RunToCompletion();
+  EXPECT_EQ(logs[handle->id].tokens.size(), 8u);
+  EXPECT_EQ(logs[handle->id].finish, FinishReason::kLength);
+  EXPECT_TRUE(engine.Finish().ok());
+}
+
+TEST(ApiEngineTest, PerCardAccessorsReturnEmptyValuesForOutOfRangeCards) {
+  Fixture f;
+  auto prog = f.Compile();
+  EngineConfig config;
+  config.num_cards = 2;
+  config.scheduler.kv_cache_dtype = serving::KvCacheDtype::kInt8;
+  Engine engine(prog, f.weights, f.u280, config);
+  ASSERT_TRUE(engine.Submit(MakeRequest(6, 8, 0.0)).ok());
+  engine.RunToCompletion();
+  ASSERT_GT(engine.kv_block_capacity(0), 0);
+  ASSERT_GT(engine.kv_pool_stats(0).block_allocs, 0);
+
+  for (int card : {-1, engine.num_cards()}) {
+    EXPECT_EQ(engine.kv_blocks_in_use(card), 0) << card;
+    EXPECT_EQ(engine.kv_block_capacity(card), 0) << card;
+    EXPECT_EQ(engine.kv_cache_dtype(card), serving::KvCacheDtype::kInt8)
+        << card;
+    const serving::KvPoolStats stats = engine.kv_pool_stats(card);
+    EXPECT_EQ(stats.block_allocs, 0) << card;
+    EXPECT_EQ(stats.peak_used_blocks, 0) << card;
+    EXPECT_EQ(stats.prefix_queries, 0) << card;
+    EXPECT_EQ(stats.cache_insertions, 0) << card;
+  }
 }
 
 // ---------------- cancellation ----------------

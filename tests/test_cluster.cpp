@@ -94,7 +94,7 @@ TEST(ClusterTest, TokenStreamsIdenticalForOneVsNCardsUnderEveryPolicy) {
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (PlacementPolicy placement : kAllPlacements) {
-    for (int cards : {1, 2, 3, 4}) {
+    for (int cards : {1, 2, 3, 4, 8}) {
       ClusterConfig config;
       config.placement = placement;
       ClusterRouter router(prog, f.weights,

@@ -240,41 +240,6 @@ TEST(ThreadPoolTest, GlobalPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::Global(), &ThreadPool::Global());
 }
 
-TEST(ThreadPoolTest, ParallelRunCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelRun(hits.size(),
-                   [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelRunFansOutTinyBatches) {
-  // Unlike ParallelFor there is no inline-below-threshold heuristic:
-  // n == 2 must still cover both indices (the parallel tick driver
-  // dispatches one long-running lane per index).
-  ThreadPool pool(4);
-  for (std::size_t n : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
-    std::vector<std::atomic<int>> hits(n == 0 ? 1 : n);
-    pool.ParallelRun(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
-    if (n == 0) {
-      EXPECT_EQ(hits[0].load(), 0);
-    }
-  }
-}
-
-TEST(ThreadPoolTest, NestedCallsInsideParallelRunStayInline) {
-  ThreadPool pool(4);
-  std::atomic<std::int64_t> total{0};
-  pool.ParallelRun(8, [&](std::size_t) {
-    pool.ParallelFor(16, [&](std::int64_t b, std::int64_t e) {
-      total += e - b;
-    });
-    pool.ParallelRun(4, [&](std::size_t) { total += 1; });
-  });
-  EXPECT_EQ(total.load(), 8 * (16 + 4));
-}
-
 TEST(ThreadPoolTest, ConcurrentExternalCallersHammer) {
   // Regression: two distinct external threads sharing one pool must not
   // corrupt each other's batches (callers serialize internally; neither
@@ -283,30 +248,23 @@ TEST(ThreadPoolTest, ConcurrentExternalCallersHammer) {
   ThreadPool pool(4);
   constexpr int kIters = 200;
   constexpr std::int64_t kN = 512;
-  auto hammer = [&](std::atomic<std::int64_t>& sum,
-                    std::atomic<std::int64_t>& runs) {
+  auto hammer = [&](std::atomic<std::int64_t>& sum) {
     for (int it = 0; it < kIters; ++it) {
       pool.ParallelFor(kN, [&](std::int64_t b, std::int64_t e) {
         std::int64_t local = 0;
         for (std::int64_t i = b; i < e; ++i) local += i;
         sum += local;
       });
-      pool.ParallelRun(7, [&](std::size_t i) {
-        runs += static_cast<std::int64_t>(i);
-      });
     }
   };
-  std::atomic<std::int64_t> sum_a{0}, runs_a{0}, sum_b{0}, runs_b{0};
-  std::thread ta([&] { hammer(sum_a, runs_a); });
-  std::thread tb([&] { hammer(sum_b, runs_b); });
+  std::atomic<std::int64_t> sum_a{0}, sum_b{0};
+  std::thread ta([&] { hammer(sum_a); });
+  std::thread tb([&] { hammer(sum_b); });
   ta.join();
   tb.join();
   const std::int64_t want_sum = kIters * (kN * (kN - 1) / 2);
-  const std::int64_t want_runs = kIters * (7 * 6 / 2);
   EXPECT_EQ(sum_a.load(), want_sum);
   EXPECT_EQ(sum_b.load(), want_sum);
-  EXPECT_EQ(runs_a.load(), want_runs);
-  EXPECT_EQ(runs_b.load(), want_runs);
 }
 
 class ThreadPoolSweep : public ::testing::TestWithParam<std::int64_t> {};
