@@ -1,11 +1,11 @@
 // SpeedLLM bench: multi-card cluster scaling curves.
 //
-// Drives one saturating request trace through serving::ClusterRouter at
+// Drives one saturating request trace through api::RunOffline at
 // 1/2/4/8 cards for every placement policy and reports aggregate
 // tokens/s, speedup over one card, per-card imbalance and utilization,
 // and rebalancer activity. The headline check: at saturating load the
 // 4-card cluster must deliver >= 3x the single-card aggregate tokens/s
-// (the router and shared clock may not eat the scale-out win), and token
+// (placement and the shared clock may not eat the scale-out win), and token
 // streams must be identical at every card count.
 //
 //   ./bench/bench_cluster_scaling [--preset tiny] [--requests 96]
@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/serving.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"
 
@@ -63,15 +63,15 @@ int main(int argc, char** argv) {
     probe.push_back(
         serving::ServingRequest{bench::MakePrompt(config, 8), gen, 0.0, {}});
   }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
+  auto probe_report =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
   }
   const double tokens_per_req = 8.0 + gen;
   const double card_saturation_rps =
-      probe_report->device_tokens_per_second / tokens_per_req;
+      probe_report->merged.device_tokens_per_second / tokens_per_req;
 
   serving::WorkloadConfig wc;
   wc.num_requests = n_requests;
@@ -102,12 +102,10 @@ int main(int argc, char** argv) {
         serving::PlacementPolicy::kBestFitFreeKv}) {
     double one_card_tps = 0.0;
     for (int cards : {1, 2, 4, 8}) {
-      serving::ClusterConfig cluster_config;
-      cluster_config.placement = policy;
-      serving::ClusterRouter router(
-          program, weights, hw::MultiCardConfig::Homogeneous(u280, cards),
-          cluster_config);
-      auto report = router.Run(reqs, sampler);
+      api::EngineConfig engine_config;
+      engine_config.placement = policy;
+      auto report = bench::RunCards(program, weights, u280, cards,
+                                    engine_config, sampler, reqs);
       if (!report.ok()) {
         std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
         return 1;
@@ -159,7 +157,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\nN cards run N independent KV pools and grouped-step pipelines off "
-      "one shared clock; at saturating load the router keeps every card "
+      "one shared clock; at saturating load placement keeps every card "
       "busy, so aggregate tokens/s scales with card count until the trace "
       "runs out of concurrent work. Best 4-card speedup: %.2fx.\n",
       best_4card_speedup);

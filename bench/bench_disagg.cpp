@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/cluster.hpp"
@@ -89,8 +90,8 @@ int main(int argc, char** argv) {
     probe.push_back(
         serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
   }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
+  auto probe_report =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -108,8 +109,8 @@ int main(int argc, char** argv) {
   wc.vocab_size = config.vocab_size;
   wc.burst_size = burst;
   const double tokens_per_req = 22.0 + 64.0;  // mean prompt + mean gen
-  wc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                load_factor;
+  wc.rate_rps = probe_report->merged.device_tokens_per_second /
+                tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::BurstyTrace(rng, wc);
 
@@ -125,17 +126,16 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   auto run = [&](const std::string& label,
                  std::vector<serving::ShardRole> roles) -> bool {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
     // Wide residency (applied to BOTH modes): decode specialists must be
     // able to hold every adopted stream resident -- with the default
     // 8-slot cap, adopted streams queue behind the cap and that wait
     // lands inside TPOT (first token is stamped at prefill completion).
-    cluster.shard.max_batch_seqs = 32;
+    cluster.scheduler.max_batch_seqs = 32;
     cluster.shard_roles = std::move(roles);
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, 4), cluster);
-    auto report = router.Run(reqs, sampler);
+    auto report = bench::RunCards(program, weights, u280, 4, cluster,
+                                  sampler, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());
@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
   }
 
   // Byte-identity: disaggregation moves timing, never tokens.
-  serving::ContinuousBatchScheduler single(program, weights, u280);
-  auto baseline = single.Run(reqs, sampler);
+  auto baseline =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, reqs);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (row.report.merged.outcomes[i].generated !=
-          baseline->outcomes[i].generated) {
+          baseline->merged.outcomes[i].generated) {
         std::fprintf(stderr, "FAIL: token stream diverged: %s, request %zu\n",
                      row.label.c_str(), i);
         identical = false;

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/kv_pool.hpp"
@@ -123,8 +124,8 @@ int main(int argc, char** argv) {
   }
   llama::SamplerConfig sampler;
   sampler.temperature = 0.0f;  // greedy: the strictest identity check
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
+  auto probe_report =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -132,8 +133,8 @@ int main(int argc, char** argv) {
   const double tokens_per_req =
       0.5 * (wc.min_prompt_tokens + wc.max_prompt_tokens) +
       0.5 * (wc.min_new_tokens + wc.max_new_tokens);
-  wc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                load_factor;
+  wc.rate_rps = probe_report->merged.device_tokens_per_second /
+                tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::PoissonTrace(rng, wc);
 
@@ -178,14 +179,16 @@ int main(int argc, char** argv) {
     sc.kv_cache_dtype = dtype;
     sc.charge_dma_cost = charge_dma;
     sc.max_batch_seqs = 16;
-    auto report = serving::ContinuousBatchScheduler(program, weights, u280, sc)
-                      .Run(reqs, sampler);
+    api::EngineConfig engine_config;
+    engine_config.scheduler = sc;
+    auto report = bench::RunCards(program, weights, u280, 1, engine_config,
+                                  sampler, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());
       return false;
     }
-    rows.push_back(Row{label, std::move(*report)});
+    rows.push_back(Row{label, std::move(report->merged)});
     return true;
   };
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/cluster.hpp"
@@ -84,8 +85,8 @@ int main(int argc, char** argv) {
     probe.push_back(
         serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
   }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
+  auto probe_report =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -103,8 +104,8 @@ int main(int argc, char** argv) {
   spc.vocab_size = config.vocab_size;
   const double tokens_per_req =
       prefix_tokens + 2.5 + 5.0;  // mean prompt + mean generation
-  spc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                 load_factor;
+  spc.rate_rps = probe_report->merged.device_tokens_per_second /
+                 tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::SharedPrefixTrace(rng, spc);
 
@@ -121,14 +122,12 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   auto run = [&](const std::string& label, int cards, bool cache,
                  serving::PlacementPolicy placement) -> bool {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.placement = placement;
-    cluster.shard.block_size_tokens = 8;
-    cluster.shard.enable_prefix_cache = cache;
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, cards),
-        cluster);
-    auto report = router.Run(reqs, sampler);
+    cluster.scheduler.block_size_tokens = 8;
+    cluster.scheduler.enable_prefix_cache = cache;
+    auto report = bench::RunCards(program, weights, u280, cards, cluster,
+                                  sampler, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());

@@ -1,4 +1,4 @@
-// SpeedLLM bench: continuous batching vs legacy round-robin serving.
+// SpeedLLM bench: continuous batching vs the round-robin baseline.
 //
 // Sweeps offered load (as a fraction of the card's single-stream decode
 // saturation rate) x batch policy, then KV block size under a deliberately
@@ -35,7 +35,7 @@
 #include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
-#include "runtime/serving.hpp"
+#include "runtime/round_robin.hpp"
 #include "serving/workload.hpp"
 
 using namespace speedllm;
@@ -47,15 +47,24 @@ struct RunResult {
   serving::ServingReport report;
 };
 
-StatusOr<serving::ServingReport> RunOnce(
-    const accel::Program& program, const llama::Weights& weights,
-    const hw::U280Config& u280, const std::vector<serving::ServingRequest>& reqs,
-    runtime::ServingMode mode, serving::SchedulerConfig config = {}) {
-  runtime::ServingSimulator sim(program, weights, u280, mode,
-                                std::move(config));
+llama::SamplerConfig Greedy() {
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;  // greedy: identical streams across schedulers
-  return sim.Run(reqs, sc);
+  return sc;
+}
+
+/// One continuous-batching card serving `reqs` under `config`.
+StatusOr<serving::ServingReport> RunBatched(
+    const accel::Program& program, const llama::Weights& weights,
+    const hw::U280Config& u280, const std::vector<serving::ServingRequest>& reqs,
+    serving::SchedulerConfig config = {}) {
+  api::EngineConfig engine_config;
+  engine_config.scheduler = std::move(config);
+  SPEEDLLM_ASSIGN_OR_RETURN(
+      serving::ClusterReport report,
+      bench::RunCards(program, weights, u280, 1, engine_config, Greedy(),
+                      reqs));
+  return std::move(report.merged);
 }
 
 void AddRow(Table& table, const std::string& rate_label,
@@ -105,8 +114,8 @@ int main(int argc, char** argv) {
   // Probe the single-stream rate so offered load is model-independent.
   std::vector<serving::ServingRequest> probe = {serving::ServingRequest{
       bench::MakePrompt(config, 8), gen, 0.0, {}}};
-  auto probe_report = RunOnce(program, weights, u280, probe,
-                              runtime::ServingMode::kLegacyRoundRobin);
+  auto probe_report =
+      runtime::RunRoundRobinBaseline(program, weights, u280, probe, Greedy());
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -140,8 +149,8 @@ int main(int argc, char** argv) {
     std::snprintf(rate_label, sizeof(rate_label), "%.1fx", load_factor);
 
     std::vector<RunResult> runs;
-    auto legacy = RunOnce(program, weights, u280, reqs,
-                          runtime::ServingMode::kLegacyRoundRobin);
+    auto legacy =
+        runtime::RunRoundRobinBaseline(program, weights, u280, reqs, Greedy());
     if (!legacy.ok()) {
       std::fprintf(stderr, "%s\n", legacy.status().ToString().c_str());
       return 1;
@@ -153,8 +162,7 @@ int main(int argc, char** argv) {
           serving::BatchPolicy::kDecodePriority}) {
       serving::SchedulerConfig sc;
       sc.policy = policy;
-      auto report = RunOnce(program, weights, u280, reqs,
-                            runtime::ServingMode::kContinuousBatching, sc);
+      auto report = RunBatched(program, weights, u280, reqs, sc);
       if (!report.ok()) {
         std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
         return 1;
@@ -203,8 +211,7 @@ int main(int argc, char** argv) {
         (max_request_tokens + block_tokens - 1) / block_tokens;
     sc.kv_pool_bytes = std::max(
         pool_bytes, need_blocks * block_tokens * bytes_per_token);
-    auto report = RunOnce(program, weights, u280, reqs,
-                          runtime::ServingMode::kContinuousBatching, sc);
+    auto report = RunBatched(program, weights, u280, reqs, sc);
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
@@ -345,8 +352,7 @@ int main(int argc, char** argv) {
                          : saturation_rps;
   Rng open_rng(seed);
   auto open_reqs = serving::PoissonTrace(open_rng, open_wc);
-  auto open = RunOnce(program, weights, u280, open_reqs,
-                      runtime::ServingMode::kContinuousBatching, {});
+  auto open = RunBatched(program, weights, u280, open_reqs);
   if (!open.ok()) {
     std::fprintf(stderr, "%s\n", open.status().ToString().c_str());
     return 1;

@@ -1,8 +1,8 @@
 // SpeedLLM bench: serial cluster soak.
 //
-// Long-horizon stress for the cluster router on the serial sim::Engine:
-// drives a ~100k-request Poisson trace through 8 cards in segments (a
-// fresh ClusterRouter per segment) and reports, per segment, wall time,
+// Long-horizon stress for the cluster on the serial sim::Engine: drives
+// a ~100k-request Poisson trace through 8 cards in segments (a fresh
+// api::RunOffline per segment) and reports, per segment, wall time,
 // simulated throughput and RSS. Two properties are checked every run:
 //
 //  1. simulated tokens: the total is deterministic per (flags, seed), so
@@ -30,6 +30,7 @@
 #include <malloc.h>
 #endif
 
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/cluster.hpp"
@@ -102,9 +103,10 @@ int main(int argc, char** argv) {
   sampler.temperature = 0.9f;
   sampler.seed = 5;
 
-  serving::ClusterConfig cluster_config;
-  cluster_config.placement = serving::PlacementPolicy::kRoundRobin;
-  cluster_config.rebalance_queued = false;
+  api::EngineConfig engine_config;
+  engine_config.placement = serving::PlacementPolicy::kRoundRobin;
+  engine_config.rebalance_queued = false;
+  engine_config.sampler = sampler;
 
   const int per_segment = n_requests / n_segments;
   std::printf(
@@ -133,8 +135,7 @@ int main(int argc, char** argv) {
 
     auto t0 = std::chrono::steady_clock::now();
     auto report =
-        serving::ClusterRouter(program, weights, cards, cluster_config)
-            .Run(reqs, sampler);
+        api::RunOffline(program, weights, cards, engine_config, reqs);
     auto t1 = std::chrono::steady_clock::now();
     if (!report.ok()) {
       std::fprintf(stderr, "segment %d failed: %s\n", s,

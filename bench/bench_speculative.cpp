@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "bench_util.hpp"
 #include "compiler/compiler.hpp"
 #include "serving/cluster.hpp"
@@ -91,8 +92,8 @@ int main(int argc, char** argv) {
     probe.push_back(
         serving::ServingRequest{bench::MakePrompt(config, 8), 8, 0.0, {}});
   }
-  serving::ContinuousBatchScheduler probe_sched(program, weights, u280);
-  auto probe_report = probe_sched.Run(probe, sampler);
+  auto probe_report =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, probe);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -108,8 +109,8 @@ int main(int argc, char** argv) {
   wc.max_new_tokens = 64;
   wc.vocab_size = config.vocab_size;
   const double tokens_per_req = 8.0 + 56.0;  // mean prompt + mean gen
-  wc.rate_rps = probe_report->device_tokens_per_second / tokens_per_req *
-                load_factor;
+  wc.rate_rps = probe_report->merged.device_tokens_per_second /
+                tokens_per_req * load_factor;
   Rng rng(seed);
   const auto reqs = serving::PoissonTrace(rng, wc);
 
@@ -124,16 +125,15 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   auto run = [&](const std::string& label, bool spec_on) -> bool {
-    serving::ClusterConfig cluster;
+    api::EngineConfig cluster;
     cluster.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
-    cluster.shard.max_batch_seqs = 16;
-    cluster.shard.speculative.enable = spec_on;
-    cluster.shard.speculative.draft_tokens = k;
-    cluster.shard.speculative.acceptance_rate = rate;
-    cluster.shard.speculative.draft_cost_ratio = ratio;
-    serving::ClusterRouter router(
-        program, weights, hw::MultiCardConfig::Homogeneous(u280, 4), cluster);
-    auto report = router.Run(reqs, sampler);
+    cluster.scheduler.max_batch_seqs = 16;
+    cluster.scheduler.speculative.enable = spec_on;
+    cluster.scheduler.speculative.draft_tokens = k;
+    cluster.scheduler.speculative.acceptance_rate = rate;
+    cluster.scheduler.speculative.draft_cost_ratio = ratio;
+    auto report = bench::RunCards(program, weights, u280, 4, cluster,
+                                  sampler, reqs);
     if (!report.ok()) {
       std::fprintf(stderr, "%s: %s\n", label.c_str(),
                    report.status().ToString().c_str());
@@ -147,8 +147,8 @@ int main(int argc, char** argv) {
 
   // Byte-identity: speculation moves timing, never tokens. The oracle
   // is a single non-speculative greedy card.
-  serving::ContinuousBatchScheduler single(program, weights, u280);
-  auto baseline = single.Run(reqs, sampler);
+  auto baseline =
+      bench::RunCards(program, weights, u280, 1, {}, sampler, reqs);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   for (const Row& row : rows) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       if (row.report.merged.outcomes[i].generated !=
-          baseline->outcomes[i].generated) {
+          baseline->merged.outcomes[i].generated) {
         std::fprintf(stderr, "FAIL: token stream diverged: %s, request %zu\n",
                      row.label.c_str(), i);
         identical = false;

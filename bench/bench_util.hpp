@@ -2,7 +2,8 @@
 //
 // Every bench binary reproduces one table/figure of the paper (see
 // DESIGN.md per-experiment index). The helpers here build the synthetic
-// stories15M workload and run one variant end to end.
+// stories15M workload, run one variant end to end, and serve a request
+// trace offline through api::RunOffline.
 #pragma once
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "llama/sampler.hpp"
@@ -83,6 +85,19 @@ inline StatusOr<runtime::InferenceMetrics> RunVariant(
       runtime::GenerationResult gen,
       dev.Generate(MakePrompt(weights.config, prefill), decode, sampler));
   return gen.metrics;
+}
+
+/// Serves `requests` offline on `cards` identical cards under `config`,
+/// sampling with `sampler` (api::RunOffline).
+inline StatusOr<serving::ClusterReport> RunCards(
+    const accel::Program& program, const llama::Weights& weights,
+    const hw::U280Config& u280, int cards, api::EngineConfig config,
+    const llama::SamplerConfig& sampler,
+    const std::vector<serving::ServingRequest>& requests) {
+  config.sampler = sampler;
+  return api::RunOffline(program, weights,
+                         hw::MultiCardConfig::Homogeneous(u280, cards), config,
+                         requests);
 }
 
 }  // namespace speedllm::bench

@@ -14,11 +14,12 @@
 #include <string>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
+#include "runtime/round_robin.hpp"
 #include "runtime/variants.hpp"
 #include "serving/workload.hpp"
 
@@ -62,14 +63,13 @@ int main(int argc, char** argv) {
   if (kv_mib > 0) sched_config.kv_pool_bytes = kv_mib << 20;
 
   // Calibrate offered load against the single-stream decode rate.
-  runtime::ServingSimulator probe_sim(compiled->program, weights, u280,
-                                      runtime::ServingMode::kLegacyRoundRobin);
   llama::SamplerConfig sampler;
   sampler.temperature = 0.8f;
   sampler.seed = 99;
   std::vector<serving::ServingRequest> probe = {
       serving::ServingRequest{{llama::kBosToken, 300, 301, 302}, 12, 0.0, {}}};
-  auto probe_report = probe_sim.Run(probe, sampler);
+  auto probe_report = runtime::RunRoundRobinBaseline(
+      compiled->program, weights, u280, probe, sampler);
   if (!probe_report.ok()) {
     std::fprintf(stderr, "%s\n", probe_report.status().ToString().c_str());
     return 1;
@@ -111,14 +111,18 @@ int main(int argc, char** argv) {
     reqs = serving::BurstyTrace(rng, wc);
   }
 
-  runtime::ServingSimulator sim(compiled->program, weights, u280,
-                                runtime::ServingMode::kContinuousBatching,
-                                sched_config);
-  auto report = sim.Run(reqs, sampler);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+  api::EngineConfig engine_config;
+  engine_config.scheduler = sched_config;
+  engine_config.sampler = sampler;
+  auto result =
+      api::RunOffline(compiled->program, weights,
+                      hw::MultiCardConfig::Homogeneous(u280, 1), engine_config,
+                      reqs);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
   }
+  const serving::ServingReport& report = result->merged;
 
   std::printf("== %s traffic, %zu requests at %.1fx saturation, policy %s ==\n\n",
               scenario.c_str(), reqs.size(), load_factor,
@@ -126,30 +130,30 @@ int main(int argc, char** argv) {
   Table latency({"metric", "mean_ms", "p50_ms", "p95_ms", "p99_ms"});
   latency.AddRow();
   latency.Cell("ttft");
-  latency.Cell(report->mean_ttft() * 1e3, 2);
-  latency.Cell(report->ttft_percentile(0.50) * 1e3, 2);
-  latency.Cell(report->ttft_percentile(0.95) * 1e3, 2);
-  latency.Cell(report->ttft_percentile(0.99) * 1e3, 2);
+  latency.Cell(report.mean_ttft() * 1e3, 2);
+  latency.Cell(report.ttft_percentile(0.50) * 1e3, 2);
+  latency.Cell(report.ttft_percentile(0.95) * 1e3, 2);
+  latency.Cell(report.ttft_percentile(0.99) * 1e3, 2);
   latency.AddRow();
   latency.Cell("latency");
-  latency.Cell(report->mean_latency() * 1e3, 2);
-  latency.Cell(report->latency_percentile(0.50) * 1e3, 2);
-  latency.Cell(report->latency_percentile(0.95) * 1e3, 2);
-  latency.Cell(report->latency_percentile(0.99) * 1e3, 2);
+  latency.Cell(report.mean_latency() * 1e3, 2);
+  latency.Cell(report.latency_percentile(0.50) * 1e3, 2);
+  latency.Cell(report.latency_percentile(0.95) * 1e3, 2);
+  latency.Cell(report.latency_percentile(0.99) * 1e3, 2);
   latency.Print();
 
   std::printf("\nthroughput : %.1f tok/s over %s makespan\n",
-              report->device_tokens_per_second,
-              FormatSeconds(report->makespan_seconds).c_str());
+              report.device_tokens_per_second,
+              FormatSeconds(report.makespan_seconds).c_str());
   std::printf("scheduler  : %lld ticks, mean batch width %.2f\n",
-              static_cast<long long>(report->ticks),
-              report->mean_batch_width);
+              static_cast<long long>(report.ticks),
+              report.mean_batch_width);
   std::printf("kv pool    : peak %lld / %lld blocks (%s budget), "
               "%lld preemptions, %lld recomputed tokens\n",
-              static_cast<long long>(report->peak_kv_blocks),
-              static_cast<long long>(report->kv_block_capacity),
-              FormatBytes(report->kv_capacity_bytes).c_str(),
-              static_cast<long long>(report->preemptions),
-              static_cast<long long>(report->recomputed_tokens));
+              static_cast<long long>(report.peak_kv_blocks),
+              static_cast<long long>(report.kv_block_capacity),
+              FormatBytes(report.kv_capacity_bytes).c_str(),
+              static_cast<long long>(report.preemptions),
+              static_cast<long long>(report.recomputed_tokens));
   return 0;
 }

@@ -14,15 +14,16 @@
 // The facade layers over serving::ClusterSession: one shared sim::Engine
 // clock, N per-card ShardScheduler instances, pluggable placement and
 // queued-request rebalancing. A single card is a cluster of one, and
-// runtime::ServingSimulator is now a thin offline shim over this class
-// (submit the whole trace, RunToCompletion, Finish), so offline and
-// online paths share every line of scheduling logic and produce
-// byte-identical token streams.
+// api::RunOffline is this class fed a whole trace up front (Submit each
+// request, RunToCompletion, Finish), so offline and online paths share
+// every line of scheduling logic and produce byte-identical token
+// streams.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,11 +102,6 @@ struct EngineConfig {
   /// Optional per-card KV pool override in bytes (0 / missing entries
   /// fall back to `scheduler.kv_pool_bytes` / HBM derivation).
   std::vector<std::uint64_t> kv_pool_bytes_per_card;
-  /// Optional per-card KV-cache dtype (missing entries fall back to
-  /// `scheduler.kv_cache_dtype`). Forwarded into
-  /// hw::MultiCardConfig::kv_dtype_per_card unless the caller-supplied
-  /// card list already set one; lets a cluster mix fp16 and int8 pools.
-  std::vector<serving::KvCacheDtype> kv_cache_dtype_per_card;
   /// Migrate queued (never-prefilled) requests away from a dry shard.
   bool rebalance_queued = true;
   /// Serving-layer telemetry (per-request lifecycle tracing +
@@ -221,7 +217,7 @@ class Engine {
 
   // ----- telemetry export -----
   /// The session's telemetry (trace + metrics), or null when
-  /// EngineConfig::telemetry is off and record_ticks is unset.
+  /// EngineConfig::telemetry is off.
   const obs::Telemetry* telemetry() const;
   /// Writes the serving trace as Chrome Trace Event JSON to `path`,
   /// optionally merged with a `kernel` instruction trace on the same
@@ -266,5 +262,16 @@ class Engine {
   std::size_t finished_requests_ = 0;
   bool harvested_ = false;
 };
+
+/// Batch-offline run over `cards`: builds an Engine, submits every
+/// request in order (request i is stream i, so its sampler seed is
+/// `config.sampler.seed + i * 7919`), drains the clock and returns
+/// Finish()'s report. Fails with the first Submit error (card-list,
+/// role or request validation) or Finish's error; `config.num_cards` is
+/// ignored in favour of the card list.
+StatusOr<serving::ClusterReport> RunOffline(
+    const accel::Program& program, const llama::Weights& weights,
+    hw::MultiCardConfig cards, const EngineConfig& config,
+    std::span<const serving::ServingRequest> requests);
 
 }  // namespace speedllm::api

@@ -41,7 +41,9 @@ struct MultiCardConfig {
   /// entry per card. Cards may mix fp16 and int8 pools -- placement is
   /// unchanged (policies bid in blocks, and each card's block already
   /// reflects its own bytes-per-token), and the per-pool cache-index hash
-  /// seed is dtype-aware so fp16 and int8 blocks can never alias.
+  /// seed is dtype-aware so fp16 and int8 blocks can never alias. This
+  /// list is the only per-card dtype knob: a mixed cluster passes its
+  /// card list to api::Engine / api::RunOffline.
   std::vector<KvCacheDtype> kv_dtype_per_card;
   /// Card-to-card link model used for KV handoffs and remote prefix
   /// fetches. Ignored by single-card sessions.

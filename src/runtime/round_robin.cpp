@@ -1,70 +1,22 @@
-#include "runtime/serving.hpp"
+#include "runtime/round_robin.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "accel/executor.hpp"
-#include "api/engine.hpp"
 
 namespace speedllm::runtime {
 
-ServingSimulator::ServingSimulator(const accel::Program& program,
-                                   const llama::Weights& weights,
-                                   const hw::U280Config& u280,
-                                   ServingMode mode,
-                                   serving::SchedulerConfig scheduler_config,
-                                   int num_cards,
-                                   serving::PlacementPolicy placement)
-    : program_(&program),
-      weights_(&weights),
-      u280_(u280),
-      mode_(mode),
-      scheduler_config_(std::move(scheduler_config)),
-      num_cards_(std::max(1, num_cards)),
-      placement_(placement) {}
-
-StatusOr<ServingReport> ServingSimulator::Run(
-    const std::vector<ServingRequest>& requests,
-    const llama::SamplerConfig& sampler_config) {
-  if (mode_ == ServingMode::kLegacyRoundRobin) {
-    return RunLegacyRoundRobin(requests, sampler_config);
-  }
-  SPEEDLLM_ASSIGN_OR_RETURN(serving::ClusterReport cluster,
-                            RunCluster(requests, sampler_config));
-  return std::move(cluster.merged);
-}
-
-StatusOr<serving::ClusterReport> ServingSimulator::RunCluster(
-    const std::vector<ServingRequest>& requests,
-    const llama::SamplerConfig& sampler_config) {
-  if (mode_ == ServingMode::kLegacyRoundRobin) {
-    return FailedPrecondition(
-        "cluster serving requires continuous-batching mode");
-  }
-  // Offline serving is one online engine fed the whole trace up front:
-  // every request is submitted before time starts, arrivals fire at
-  // their timestamps, and the clock drains to completion. Token streams
-  // are byte-identical to the streaming path because they ARE the
-  // streaming path.
-  api::EngineConfig config;
-  config.num_cards = num_cards_;
-  config.scheduler = scheduler_config_;
-  config.placement = placement_;
-  config.sampler = sampler_config;
-  api::Engine engine(*program_, *weights_, u280_, std::move(config));
-  for (const ServingRequest& request : requests) {
-    SPEEDLLM_ASSIGN_OR_RETURN(api::RequestHandle handle,
-                              engine.Submit(request));
-    (void)handle;
-  }
-  engine.RunToCompletion();
-  return engine.Finish();
-}
+using serving::RequestOutcome;
+using serving::ServingReport;
+using serving::ServingRequest;
 
 namespace {
 
-/// Per-sequence decode state of the legacy path.
+/// Per-sequence decode state of the round-robin loop.
 struct Sequence {
   const ServingRequest* request = nullptr;
   std::size_t index = 0;
@@ -84,8 +36,9 @@ struct Sequence {
 
 }  // namespace
 
-StatusOr<ServingReport> ServingSimulator::RunLegacyRoundRobin(
-    const std::vector<ServingRequest>& requests,
+StatusOr<ServingReport> RunRoundRobinBaseline(
+    const accel::Program& program, const llama::Weights& weights,
+    const hw::U280Config& u280, std::span<const ServingRequest> requests,
     const llama::SamplerConfig& sampler_config) {
   ServingReport report;
   if (requests.empty()) return report;
@@ -110,7 +63,7 @@ StatusOr<ServingReport> ServingSimulator::RunLegacyRoundRobin(
                              " has a non-finite or negative arrival");
     }
     if (static_cast<std::int64_t>(req.prompt.size()) + req.max_new_tokens >
-        program_->model.seq_len) {
+        program.model.seq_len) {
       return OutOfRange("request " + std::to_string(i) + " exceeds seq_len");
     }
     llama::SamplerConfig sc = sampler_config;
@@ -118,7 +71,7 @@ StatusOr<ServingReport> ServingSimulator::RunLegacyRoundRobin(
     Sequence seq{llama::Sampler(sc)};
     seq.request = &req;
     seq.index = i;
-    seq.exec = std::make_unique<accel::Executor>(*program_, *weights_, u280_);
+    seq.exec = std::make_unique<accel::Executor>(program, weights, u280);
     seq.outcome.arrival_seconds = req.arrival_seconds;
     seq.outcome.prompt_tokens = static_cast<std::int32_t>(req.prompt.size());
     seqs.push_back(std::move(seq));

@@ -115,15 +115,13 @@ ClusterSession::ClusterSession(const accel::Program& program,
       sampler_config_(sampler_config),
       clock_mhz_(cards.cards.front().clock_mhz) {
   config_.shard = NormalizeSchedulerConfig(config_.shard);
-  // One switch, one event path: the record_ticks compat flag implies
-  // lifecycle tracing, and ServingReport::tick_log is rebuilt from the
-  // shared event stream at harvest.
-  obs::TelemetryConfig telemetry_config = config_.telemetry;
-  telemetry_config.enable_tracing =
-      telemetry_config.enable_tracing || config_.shard.record_ticks;
-  if (telemetry_config.enabled()) {
-    telemetry_ = std::make_unique<obs::Telemetry>(telemetry_config);
+  if (config_.telemetry.enabled()) {
+    telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
   }
+  // Every shard's local DMA and every cross-card KV move queue on one
+  // shared station model; the directory mirrors each pool's index.
+  interconnect_ = std::make_unique<Interconnect>(cards_);
+  directory_ = std::make_unique<PrefixDirectory>();
   const int n = cards_.num_cards();
   shards_.reserve(static_cast<std::size_t>(n));
   min_pool_blocks_ = std::numeric_limits<std::int64_t>::max();
@@ -159,7 +157,8 @@ ClusterSession::ClusterSession(const accel::Program& program,
                          : static_cast<std::int64_t>(shard_config.kv_pool_bytes /
                                                      block_bytes));
     shards_.push_back(std::make_unique<ShardScheduler>(
-        program, weights, cards_.cards[ci], shard_config, engine_));
+        program, weights, cards_.cards[ci], shard_config, engine_,
+        *interconnect_, c));
     if (telemetry_ != nullptr) {
       shards_.back()->set_telemetry(telemetry_->MakeShardChannel(c));
     }
@@ -182,14 +181,9 @@ ClusterSession::ClusterSession(const accel::Program& program,
           if (on_finish_) on_finish_(stream, reason, outcome, t);
         });
   }
-  // Every shard's local DMA and every cross-card KV move queue on one
-  // shared station model; the directory mirrors each pool's index.
-  interconnect_ = std::make_unique<Interconnect>(cards_);
-  directory_ = std::make_unique<PrefixDirectory>();
   handoff_pending_tokens_.assign(shards_.size(), 0);
   for (int c = 0; c < n; ++c) {
     const std::size_t ci = static_cast<std::size_t>(c);
-    shards_[ci]->set_interconnect(interconnect_.get(), c);
     if (c < 64) directory_->Attach(c, &shards_[ci]->mutable_pool());
     if (shards_[ci]->role() == ShardRole::kPrefill) {
       shards_[ci]->set_handoff_hook(
@@ -835,8 +829,6 @@ ClusterReport ClusterSession::Harvest() {
     m.ticks += shard.ticks;
     m.makespan_seconds = std::max(m.makespan_seconds,
                                   shard.makespan_seconds);
-    m.tick_log.insert(m.tick_log.end(), shard.tick_log.begin(),
-                      shard.tick_log.end());
     report.shard_reports.push_back(std::move(shard));
   }
   ServingReport& m = report.merged;
@@ -850,12 +842,6 @@ ClusterReport ClusterSession::Harvest() {
     }
     m.outcomes[stream] = std::move(outcome);
   }
-  // Interleave per-card tick logs into one clock-ordered timeline
-  // (stable: same-time ticks keep card order).
-  std::stable_sort(m.tick_log.begin(), m.tick_log.end(),
-                   [](const TickRecord& a, const TickRecord& b) {
-                     return a.start_seconds < b.start_seconds;
-                   });
   if (m.ticks > 0) m.mean_batch_width /= static_cast<double>(m.ticks);
   m.device_tokens_per_second =
       m.makespan_seconds > 0.0
@@ -876,55 +862,6 @@ ClusterReport ClusterSession::Harvest() {
         m.makespan_seconds > 0.0 ? busy[c] / m.makespan_seconds : 0.0;
   }
   return report;
-}
-
-// -------------------------------------------------------- ClusterRouter
-
-ClusterRouter::ClusterRouter(const accel::Program& program,
-                             const llama::Weights& weights,
-                             hw::MultiCardConfig cards, ClusterConfig config)
-    : program_(&program),
-      weights_(&weights),
-      cards_(std::move(cards)),
-      config_(std::move(config)) {
-  config_.shard = NormalizeSchedulerConfig(config_.shard);
-}
-
-std::uint64_t ClusterRouter::pool_bytes(int card) const {
-  std::uint64_t override_bytes = config_.shard.kv_pool_bytes;
-  const std::size_t c = static_cast<std::size_t>(card);
-  if (c < config_.kv_pool_bytes_per_card.size() &&
-      config_.kv_pool_bytes_per_card[c] > 0) {
-    override_bytes = config_.kv_pool_bytes_per_card[c];
-  }
-  return DeriveKvPoolBytes(*program_, cards_.cards[c], override_bytes);
-}
-
-StatusOr<ClusterReport> ClusterRouter::Run(
-    const std::vector<ServingRequest>& requests,
-    const llama::SamplerConfig& sampler_config) {
-  SPEEDLLM_RETURN_IF_ERROR(cards_.Validate());
-  SPEEDLLM_RETURN_IF_ERROR(ValidateClusterRoles(config_, num_cards()));
-  if (requests.empty()) {
-    ClusterReport report;
-    report.shard_reports.resize(static_cast<std::size_t>(num_cards()));
-    report.card_utilization.resize(static_cast<std::size_t>(num_cards()), 0.0);
-    return report;
-  }
-
-  ClusterSession session(*program_, *weights_, cards_, config_,
-                         sampler_config);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    SPEEDLLM_RETURN_IF_ERROR(
-        session.Validate(requests[i], "request " + std::to_string(i)));
-  }
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    session.SubmitAt(&requests[i], i,
-                     session.SecondsToCycles(requests[i].arrival_seconds));
-  }
-  session.engine().Run();
-  SPEEDLLM_RETURN_IF_ERROR(session.Finalize());
-  return session.Harvest();
 }
 
 }  // namespace speedllm::serving

@@ -1,14 +1,15 @@
-// SpeedLLM -- multi-card cluster router over N serving shards.
+// SpeedLLM -- one cluster timeline over N serving shards.
 //
-// Scales the PR-1 single-card serving stack across N U280 cards, the way
-// a vLLM-style deployment shards traffic across replicas: each card is a
+// Scales the single-card serving stack across N U280 cards, the way a
+// vLLM-style deployment shards traffic across replicas: each card is a
 // ShardScheduler (its own paged KvBlockPool carved from its own
 // hw::HbmConfig plus the continuous-batching tick loop), and a
-// ClusterRouter places every arriving request on one card via a pluggable
-// placement policy. All shards chain their ticks on ONE shared
-// sim::Engine, so per-card steps interleave on a single simulated clock
-// and cluster-wide metrics (aggregate tokens/s, per-card utilization and
-// imbalance, TTFT/TPOT percentiles) fall out of one coherent timeline.
+// ClusterSession places every arriving request on one card via a
+// pluggable placement policy. A single card is a cluster of one. All
+// shards chain their ticks on ONE shared sim::Engine, so per-card steps
+// interleave on a single simulated clock and cluster-wide metrics
+// (aggregate tokens/s, per-card utilization and imbalance, TTFT/TPOT
+// percentiles) fall out of one coherent timeline.
 //
 // Placement policies:
 //  * round-robin            -- arrival order modulo card count;
@@ -18,7 +19,7 @@
 //                              demand), i.e. the most capacity headroom.
 //
 // When a shard's pool runs dry (admission or decode blocked on KV
-// capacity) the router rebalances: queued requests that have not started
+// capacity) the session rebalances: queued requests that have not started
 // prefill migrate to the card with the most projected-free blocks,
 // newest-first, each at most once per other card so rebalancing always
 // terminates. Token streams are seeded per request (global index), so
@@ -48,7 +49,7 @@ namespace speedllm::serving {
 
 class ShardScheduler;
 
-/// How the router picks a card for each arriving request.
+/// How the session picks a card for each arriving request.
 enum class PlacementPolicy {
   kRoundRobin,              ///< arrival order, ignores card state
   kLeastOutstandingTokens,  ///< min remaining prefill+decode tokens
@@ -96,8 +97,7 @@ struct ClusterConfig {
   /// Migrate queued (never-prefilled) requests away from a dry shard.
   bool rebalance_queued = true;
   /// Serving-layer telemetry switches (lifecycle tracing + tick-sampled
-  /// metrics). Off by default; SchedulerConfig::record_ticks implies
-  /// tracing so the tick_log compat view keeps working.
+  /// metrics). Off by default.
   obs::TelemetryConfig telemetry;
   /// Per-card shard roles for disaggregated prefill/decode serving.
   /// Empty means every card is ShardRole::kUnified; otherwise one entry
@@ -174,12 +174,11 @@ struct ClusterReport {
 };
 
 /// One live cluster timeline: the shared sim::Engine, the per-card
-/// shards, and the routing/rebalancing state. Unlike ClusterRouter::Run
-/// (which drains a complete pre-timestamped trace), a session is *online*:
+/// shards, and the routing/rebalancing state. A session is *online*:
 /// requests may be submitted at any simulated time, cancelled mid-flight,
 /// and streamed out through emission hooks -- the substrate the
-/// api::Engine facade drives incrementally. The offline router is one
-/// session fed every arrival up front.
+/// api::Engine facade drives incrementally. An offline run
+/// (api::RunOffline) is one session fed every arrival up front.
 class ClusterSession {
  public:
   /// `program` and `weights` must outlive the session; `cards` must
@@ -209,8 +208,8 @@ class ClusterSession {
   /// Card `card`'s shard (placement-policy queries, tests).
   const ShardScheduler& shard(int card) const { return *shards_[card]; }
 
-  /// Session telemetry (trace + metrics), or null when disabled and
-  /// record_ticks is off. Owned by the session; alive until destruction.
+  /// Session telemetry (trace + metrics), or null when disabled. Owned by
+  /// the session; alive until destruction.
   const obs::Telemetry* telemetry() const { return telemetry_.get(); }
 
   /// Model-limit + worst-case-pool admission check (a request must fit
@@ -310,10 +309,11 @@ class ClusterSession {
 
   sim::Engine engine_;
   std::unique_ptr<obs::Telemetry> telemetry_;
-  std::vector<std::unique_ptr<ShardScheduler>> shards_;
   // Shared card-to-card link + HBM-channel model; every shard's local
-  // DMA and every KV transfer queue on the same stations.
+  // DMA and every KV transfer queue on the same stations. Declared
+  // before the shards, which hold a reference to it.
   std::unique_ptr<Interconnect> interconnect_;
+  std::vector<std::unique_ptr<ShardScheduler>> shards_;
   // Cluster-wide prefix index fed by per-pool cache listeners.
   std::unique_ptr<PrefixDirectory> directory_;
   // Cards that may receive placed arrivals (everything but kDecode).
@@ -354,37 +354,6 @@ class ClusterSession {
   std::vector<obs::MetricsRegistry::MetricId> link_metric_ids_;
   obs::MetricsRegistry::MetricId remote_hit_metric_id_ = 0;
   bool transfer_metrics_ = false;
-};
-
-/// Offline multi-card runner: one ClusterSession fed a complete
-/// pre-timestamped request trace up front and drained to completion.
-class ClusterRouter {
- public:
-  /// `program` and `weights` must outlive the router. All cards run the
-  /// same compiled program; cards may differ in HBM capacity but must
-  /// share one kernel clock (hw::MultiCardConfig::Validate).
-  ClusterRouter(const accel::Program& program, const llama::Weights& weights,
-                hw::MultiCardConfig cards, ClusterConfig config = {});
-
-  /// Serves `requests` to completion across the cluster. Deterministic:
-  /// the same (requests, sampler_config, cluster config) always yields
-  /// the same report, and generated token streams match a single card
-  /// serving the same requests.
-  StatusOr<ClusterReport> Run(const std::vector<ServingRequest>& requests,
-                              const llama::SamplerConfig& sampler_config);
-
-  /// Number of cards this router fans out over.
-  int num_cards() const { return cards_.num_cards(); }
-  /// The cluster configuration the router was built with.
-  const ClusterConfig& config() const { return config_; }
-  /// KV pool budget card `card` will use (after overrides/derivation).
-  std::uint64_t pool_bytes(int card) const;
-
- private:
-  const accel::Program* program_;
-  const llama::Weights* weights_;
-  hw::MultiCardConfig cards_;
-  ClusterConfig config_;
 };
 
 }  // namespace speedllm::serving

@@ -1,6 +1,7 @@
-// SpeedLLM -- continuous-batching serving scheduler.
+// SpeedLLM -- continuous-batching scheduler knobs.
 //
-// vLLM-style iteration-level scheduling on one simulated U280 card. The
+// vLLM-style iteration-level scheduling on one simulated U280 card (run
+// by serving::ShardScheduler, one per card of a ClusterSession). The
 // scheduler is driven by sim::Engine events: request arrivals enqueue
 // work, and each scheduler tick forms a batch (all active decode
 // sequences plus prompt-prefill chunks up to a token budget), executes
@@ -19,20 +20,14 @@
 //   tick = max_i(shared_i) + sum_i (forward_i - shared_i)
 //
 // with shared_i clamped below forward_i. For a batch of one this reduces
-// exactly to the sequential executor cost, so the legacy round-robin
-// path and a width-1 scheduler agree.
+// exactly to the sequential executor cost, so the round-robin baseline
+// (runtime::RunRoundRobinBaseline) and a width-1 scheduler agree.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
-#include "accel/program.hpp"
-#include "common/status.hpp"
-#include "hw/u280_config.hpp"
-#include "llama/sampler.hpp"
-#include "llama/weights.hpp"
 #include "serving/kv_pool.hpp"
 #include "serving/request.hpp"
 
@@ -127,7 +122,7 @@ struct SpeculativeConfig {
 };
 
 /// Knobs of one card's continuous-batching scheduler (shared verbatim by
-/// the single-card facade, every cluster shard, and api::EngineConfig).
+/// every cluster shard and api::EngineConfig).
 struct SchedulerConfig {
   /// Admission-ordering policy; see BatchPolicy.
   BatchPolicy policy = BatchPolicy::kFcfs;
@@ -168,8 +163,6 @@ struct SchedulerConfig {
   /// KV pool budget override in bytes; 0 derives it from HBM capacity
   /// minus the resident weight footprint and an activation reserve.
   std::uint64_t kv_pool_bytes = 0;
-  /// Record a TickRecord per tick into the report (tests / debugging).
-  bool record_ticks = false;
   /// Honor ServingRequest::tier in admission order, decode-budget
   /// allocation, and preemption-victim selection (higher tiers admit
   /// first, lower tiers preempt first, and a lower tier never evicts a
@@ -181,50 +174,13 @@ struct SchedulerConfig {
   TierSloTargets tier_slo{};
   /// Cluster-level load shedding; see AdmissionConfig. Evaluated before
   /// placement by ClusterSession / api::Engine (a one-card cluster sheds
-  /// identically to an N-card one). The batch-offline
-  /// ContinuousBatchScheduler facade predates placement and never sheds.
+  /// identically to an N-card one).
   AdmissionConfig admission;
   /// This shard's disaggregation role; set per card by ClusterSession
   /// from ClusterConfig::shard_roles. See ShardRole.
   ShardRole role = ShardRole::kUnified;
   /// Draft-and-verify speculative decoding; see SpeculativeConfig.
   SpeculativeConfig speculative;
-};
-
-/// One simulated card's batch-offline serving loop: validates a request
-/// trace, runs it through a single ShardScheduler on a private event
-/// engine, and returns the aggregate ServingReport. The online streaming
-/// equivalent is api::Engine; both share every line of scheduling logic.
-class ContinuousBatchScheduler {
- public:
-  /// `program` and `weights` must outlive the scheduler.
-  ContinuousBatchScheduler(const accel::Program& program,
-                           const llama::Weights& weights,
-                           const hw::U280Config& u280,
-                           SchedulerConfig config = {});
-
-  /// Serves `requests` to completion. Sampler seeds are offset per
-  /// request (seed + index * 7919) so streams are independent of batch
-  /// composition: the same request yields the same tokens under any
-  /// policy, batch width, or preemption schedule.
-  StatusOr<ServingReport> Run(const std::vector<ServingRequest>& requests,
-                              const llama::SamplerConfig& sampler_config);
-
-  /// The normalized configuration this scheduler runs with.
-  const SchedulerConfig& config() const { return config_; }
-  /// Pool budget the scheduler will use (after derivation), for sizing
-  /// admission tests and benches.
-  std::uint64_t pool_bytes() const { return pool_bytes_; }
-  /// Amortized per-tick cost (weight stream + grouped launch), seconds.
-  double shared_step_seconds() const { return shared_seconds_; }
-
- private:
-  const accel::Program* program_;
-  const llama::Weights* weights_;
-  hw::U280Config u280_;
-  SchedulerConfig config_;
-  std::uint64_t pool_bytes_ = 0;
-  double shared_seconds_ = 0.0;
 };
 
 }  // namespace speedllm::serving

@@ -91,6 +91,11 @@ Status ValidateRequest(const ServingRequest& req, const std::string& tag,
   if (!(req.arrival_seconds >= 0.0) || !std::isfinite(req.arrival_seconds)) {
     return InvalidArgument(tag + " has a non-finite or negative arrival");
   }
+  if (TierIndex(req.tier) < 0 || TierIndex(req.tier) >= kNumTiers) {
+    // Tiers index per-tier counters on the shard and the session.
+    return InvalidArgument(tag + " has an out-of-range tier (" +
+                           std::to_string(TierIndex(req.tier)) + ")");
+  }
   const std::int64_t tokens =
       static_cast<std::int64_t>(req.prompt.size()) + req.max_new_tokens;
   if (tokens > model.seq_len) {
@@ -108,7 +113,8 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                                const llama::Weights& weights,
                                const hw::U280Config& u280,
                                const SchedulerConfig& config,
-                               sim::Engine& engine)
+                               sim::Engine& engine, Interconnect& interconnect,
+                               std::int32_t card)
     : program_(program),
       weights_(weights),
       u280_(u280),
@@ -119,28 +125,11 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
           program.model, config.kv_cache_dtype,
           DeriveKvPoolBytes(program, u280, config.kv_pool_bytes),
           config.block_size_tokens, config.enable_prefix_cache)),
-      tick_cost_(shared_seconds_, kSharedShareCap) {
-  if (config_.record_ticks) {
-    // tick_log compat: with no external telemetry attached the shard
-    // records into a private trace so TakeReport can rebuild the log.
-    own_trace_ = std::make_unique<obs::RequestTraceRecorder>();
-    telemetry_.set_trace(own_trace_.get());
-  }
-}
+      interconnect_(interconnect),
+      card_id_(card),
+      tick_cost_(shared_seconds_, kSharedShareCap) {}
 
 ShardScheduler::~ShardScheduler() = default;
-
-void ShardScheduler::set_telemetry(obs::ShardChannel channel) {
-  telemetry_ = std::move(channel);
-  if (telemetry_.tracing()) {
-    own_trace_.reset();  // the external sink supersedes the fallback
-  } else if (config_.record_ticks) {
-    if (own_trace_ == nullptr) {
-      own_trace_ = std::make_unique<obs::RequestTraceRecorder>();
-    }
-    telemetry_.set_trace(own_trace_.get());
-  }
-}
 
 void ShardScheduler::Submit(const ServingRequest& request,
                             std::size_t stream_index,
@@ -282,35 +271,6 @@ ServingReport ShardScheduler::TakeReport(
   report_.cow_copies = ps.cow_copies;
   report_.cache_evictions = ps.cache_evictions;
   report_.dma_bytes_moved = ps.dma_bytes_moved;
-  // tick_log compat view: rebuilt from the telemetry event stream (the
-  // only tick history path) when record_ticks asked for it.
-  if (config_.record_ticks && telemetry_.trace_recorder() != nullptr) {
-    report_.tick_log.clear();
-    for (const obs::RequestEvent& e : telemetry_.trace_recorder()->events()) {
-      if (e.card != telemetry_.card()) continue;
-      switch (e.kind) {
-        case obs::RequestEventKind::kTick: {
-          TickRecord rec;
-          rec.start_seconds = e.start_seconds;
-          rec.end_seconds = e.end_seconds;
-          report_.tick_log.push_back(std::move(rec));
-          break;
-        }
-        case obs::RequestEventKind::kDecodeToken:
-          report_.tick_log.back().decode_seqs.push_back(
-              static_cast<std::size_t>(e.stream));
-          break;
-        case obs::RequestEventKind::kPrefillChunk:
-          report_.tick_log.back().prefill_seqs.push_back(
-              static_cast<std::size_t>(e.stream));
-          report_.tick_log.back().prefill_tokens +=
-              static_cast<std::int32_t>(e.tokens);
-          break;
-        default:
-          break;
-      }
-    }
-  }
   return std::move(report_);
 }
 
@@ -709,17 +669,6 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
   return accepted;
 }
 
-Interconnect& ShardScheduler::interconnect() {
-  if (interconnect_ != nullptr) return *interconnect_;
-  if (own_interconnect_ == nullptr) {
-    hw::MultiCardConfig one;
-    one.cards.push_back(u280_);
-    own_interconnect_ = std::make_unique<Interconnect>(one);
-    card_id_ = 0;
-  }
-  return *own_interconnect_;
-}
-
 std::int64_t ShardScheduler::ChargeDma(const char* cause,
                                        std::size_t seq_id) {
   const std::int64_t moved = pool_.stats().dma_bytes_moved - dma_bytes_seen_;
@@ -735,7 +684,7 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
     // already paid (`dma_charged_until_`), which makes back-to-back
     // uncontended moves cost exactly the old per-move sum.
     const sim::Cycles base = std::max(engine_.now(), dma_charged_until_);
-    const hw::TransferTiming window = interconnect().LocalDma(
+    const hw::TransferTiming window = interconnect_.LocalDma(
         engine_.now(), static_cast<std::uint64_t>(moved), card_id_);
     dma_charged_until_ = window.end;
     seconds = u280_.cycles_to_seconds(window.end - base);
@@ -1339,10 +1288,8 @@ void ShardScheduler::RunTick() {
   ++report_.ticks;
   width_sum_ += static_cast<std::int64_t>(decode_executed.size() +
                                           prefill_executed.size());
-  // One event path for tick history: the telemetry trace records the
-  // tick and its per-sequence work; ServingReport::tick_log is rebuilt
-  // from these events in TakeReport when record_ticks is set (the shard
-  // keeps a private recorder for that case, see set_telemetry).
+  // Tick history lives on the telemetry trace: the tick and its
+  // per-sequence work.
   if (telemetry_.tracing()) {
     obs::RequestEvent tick_ev = MakeEvent(obs::RequestEventKind::kTick, -1,
                                           tick_index_, start_s, end_s);

@@ -1,6 +1,6 @@
 // Unit tests for the online streaming engine facade (api/engine.hpp):
-// callback token streams byte-identical to the offline
-// ServingSimulator::Run result (1 card and 4 cards), cancellation
+// callback token streams byte-identical to the offline api::RunOffline
+// result (1 card and 4 cards), cancellation
 // freeing KV blocks with no further emissions, stop-token/EOS early
 // termination, submit-time validation, incremental StepUntil driving,
 // and closed-loop clients running deterministically on the shared clock.
@@ -15,7 +15,7 @@
 #include "api/engine.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
+#include "runtime/round_robin.hpp"
 #include "runtime/variants.hpp"
 #include "serving/workload.hpp"
 
@@ -61,6 +61,18 @@ std::vector<serving::ServingRequest> MixedTrace(
   return serving::PoissonTrace(rng, wc);
 }
 
+/// Offline reference run of `reqs` on `cards` identical cards.
+StatusOr<serving::ClusterReport> RunOfflineOn(
+    const accel::Program& prog, const Fixture& f, int cards,
+    const llama::SamplerConfig& sc,
+    const std::vector<serving::ServingRequest>& reqs) {
+  EngineConfig config;
+  config.sampler = sc;
+  return RunOffline(prog, f.weights,
+                    hw::MultiCardConfig::Homogeneous(f.u280, cards), config,
+                    reqs);
+}
+
 /// Collects every callback a request's stream fires.
 struct StreamLog {
   std::vector<std::int32_t> tokens;
@@ -96,10 +108,7 @@ TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
   sc.seed = 13;
 
   for (int cards : {1, 4}) {
-    runtime::ServingSimulator offline(
-        prog, f.weights, f.u280, runtime::ServingMode::kContinuousBatching,
-        {}, cards);
-    auto offline_report = offline.Run(reqs, sc);
+    auto offline_report = RunOfflineOn(prog, f, cards, sc, reqs);
     ASSERT_TRUE(offline_report.ok()) << offline_report.status().ToString();
 
     EngineConfig config;
@@ -122,7 +131,7 @@ TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       const StreamLog& log = logs[handles[i].id];
       // Streamed tokens are byte-identical to the offline outcome...
-      EXPECT_EQ(log.tokens, offline_report->outcomes[i].generated)
+      EXPECT_EQ(log.tokens, offline_report->merged.outcomes[i].generated)
           << cards << " cards, request " << i;
       // ...and to this engine's own harvested outcome.
       EXPECT_EQ(log.tokens, report->merged.outcomes[i].generated);
@@ -132,7 +141,7 @@ TEST(ApiEngineTest, CallbackStreamsMatchOfflineRunOnOneAndFourCards) {
       // The last token is delivered at the request's completion time.
       ASSERT_FALSE(log.token_times.empty());
       EXPECT_DOUBLE_EQ(log.token_times.back(),
-                       offline_report->outcomes[i].completion_seconds);
+                       offline_report->merged.outcomes[i].completion_seconds);
     }
   }
 }
@@ -145,8 +154,7 @@ TEST(ApiEngineTest, IncrementalSubmissionMatchesUpFrontSubmission) {
   sc.temperature = 0.8f;
   sc.seed = 21;
 
-  runtime::ServingSimulator offline(prog, f.weights, f.u280);
-  auto offline_report = offline.Run(reqs, sc);
+  auto offline_report = RunOfflineOn(prog, f, 1, sc, reqs);
   ASSERT_TRUE(offline_report.ok());
 
   // Drive the clock past each arrival before submitting the next
@@ -172,10 +180,10 @@ TEST(ApiEngineTest, IncrementalSubmissionMatchesUpFrontSubmission) {
 
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(logs[handles[i].id].tokens,
-              offline_report->outcomes[i].generated)
+              offline_report->merged.outcomes[i].generated)
         << "request " << i;
     EXPECT_DOUBLE_EQ(report->merged.outcomes[i].completion_seconds,
-                     offline_report->outcomes[i].completion_seconds);
+                     offline_report->merged.outcomes[i].completion_seconds);
   }
 }
 
@@ -391,10 +399,10 @@ TEST(ApiEngineTest, StopTokenEndsGenerationEarlyAndCountsSavedTokens) {
   serving::ServingRequest req = MakeRequest(6, 16, 0.0, 3);
 
   // Baseline: the unconstrained stream.
-  runtime::ServingSimulator offline(prog, f.weights, f.u280);
-  auto baseline = offline.Run({req}, sc);
+  auto baseline = RunOfflineOn(prog, f, 1, sc, {req});
   ASSERT_TRUE(baseline.ok());
-  const std::vector<std::int32_t>& full = baseline->outcomes[0].generated;
+  const std::vector<std::int32_t>& full =
+      baseline->merged.outcomes[0].generated;
   ASSERT_EQ(full.size(), 16u);
 
   // Declare the 6th generated token a stop token: the stream must be the
@@ -429,28 +437,29 @@ TEST(ApiEngineTest, SamplerEosBehavesLikeARequestStopToken) {
   sc.seed = 33;
   const serving::ServingRequest req = MakeRequest(6, 16, 0.0, 3);
 
-  runtime::ServingSimulator offline(prog, f.weights, f.u280);
-  auto baseline = offline.Run({req}, sc);
+  auto baseline = RunOfflineOn(prog, f, 1, sc, {req});
   ASSERT_TRUE(baseline.ok());
-  const std::vector<std::int32_t>& full = baseline->outcomes[0].generated;
+  const std::vector<std::int32_t>& full =
+      baseline->merged.outcomes[0].generated;
 
   // The same early exit through the model-wide EOS id, on both the
-  // batched and the legacy round-robin path.
+  // batched path and the round-robin baseline.
   llama::SamplerConfig eos_sc = sc;
   eos_sc.eos_token = full[5];
-  for (runtime::ServingMode mode :
-       {runtime::ServingMode::kContinuousBatching,
-        runtime::ServingMode::kLegacyRoundRobin}) {
-    runtime::ServingSimulator sim(prog, f.weights, f.u280, mode);
-    auto report = sim.Run({req}, eos_sc);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_EQ(report->outcomes[0].generated.size(), 5u)
-        << (mode == runtime::ServingMode::kLegacyRoundRobin ? "legacy"
-                                                            : "batched");
-    EXPECT_EQ(report->outcomes[0].finish_reason, FinishReason::kStop);
-    EXPECT_EQ(report->stopped_requests, 1);
-    EXPECT_EQ(report->stop_saved_tokens, 16 - 5);
-  }
+  auto expect_early_stop = [](const serving::ServingReport& report,
+                              const char* path) {
+    EXPECT_EQ(report.outcomes[0].generated.size(), 5u) << path;
+    EXPECT_EQ(report.outcomes[0].finish_reason, FinishReason::kStop) << path;
+    EXPECT_EQ(report.stopped_requests, 1) << path;
+    EXPECT_EQ(report.stop_saved_tokens, 16 - 5) << path;
+  };
+  auto batched = RunOfflineOn(prog, f, 1, eos_sc, {req});
+  ASSERT_TRUE(batched.ok()) << batched.status().ToString();
+  expect_early_stop(batched->merged, "batched");
+  auto legacy = runtime::RunRoundRobinBaseline(prog, f.weights, f.u280,
+                                               {&req, 1}, eos_sc);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  expect_early_stop(*legacy, "round-robin");
 }
 
 // ---------------- validation ----------------
@@ -486,6 +495,34 @@ TEST(ApiEngineTest, SubmitValidatesRequestsUpFront) {
   // After harvest the engine is closed to new work.
   EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(ApiEngineTest, SubmitRejectsOutOfRangeTier) {
+  Fixture f;
+  auto prog = f.Compile();
+  Engine engine(prog, f.weights, f.u280);
+
+  // Tiers index per-tier counters on the shards and the session, so a
+  // value outside [0, kNumTiers) must never reach them.
+  for (int tier : {-1, serving::kNumTiers, 127}) {
+    serving::ServingRequest req = MakeRequest(4, 4, 0.0);
+    req.tier = static_cast<serving::RequestTier>(tier);
+    EXPECT_EQ(engine.Submit(req).status().code(), StatusCode::kInvalidArgument)
+        << "tier " << tier;
+  }
+  EXPECT_EQ(engine.submitted_requests(), 0u);
+
+  // Every valid tier is accepted and served.
+  for (int tier = 0; tier < serving::kNumTiers; ++tier) {
+    serving::ServingRequest req = MakeRequest(4, 4, 0.0);
+    req.tier = static_cast<serving::RequestTier>(tier);
+    EXPECT_TRUE(engine.Submit(req).ok()) << "tier " << tier;
+  }
+  engine.RunToCompletion();
+  auto report = engine.Finish();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->merged.outcomes.size(),
+            static_cast<std::size_t>(serving::kNumTiers));
 }
 
 TEST(ApiEngineTest, FinishRequiresDrainedEngineAndRunsOnce) {

@@ -67,6 +67,17 @@ std::vector<ServingRequest> SharedTrace(const llama::ModelConfig& config,
   return SharedPrefixTrace(rng, spc);
 }
 
+/// Serves `reqs` offline on `cards` identical cards with sampler `sc`.
+StatusOr<ClusterReport> RunCards(const accel::Program& prog, const Fixture& f,
+                                 int cards, api::EngineConfig config,
+                                 const llama::SamplerConfig& sc,
+                                 const std::vector<ServingRequest>& reqs) {
+  config.sampler = sc;
+  return api::RunOffline(prog, f.weights,
+                         hw::MultiCardConfig::Homogeneous(f.u280, cards),
+                         config, reqs);
+}
+
 std::vector<ShardRole> Roles(int cards) {
   // Half prefill, half decode (2 -> p,d; 4 -> p,p,d,d).
   std::vector<ShardRole> roles(static_cast<std::size_t>(cards),
@@ -155,28 +166,24 @@ TEST(DisaggTest, TokenStreamsIdenticalToUnifiedAcrossRolesDtypesCaching) {
   sc.temperature = 0.9f;  // stochastic sampling: the strictest check
   sc.seed = 13;
 
-  ContinuousBatchScheduler single(prog, f.weights, f.u280);
-  auto baseline = single.Run(reqs, sc);
+  auto baseline = RunCards(prog, f, 1, {}, sc, reqs);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (KvCacheDtype dtype : {KvCacheDtype::kFp16, KvCacheDtype::kInt8}) {
     for (bool cache : {false, true}) {
       for (int cards : {1, 2, 4}) {
-        ClusterConfig config;
-        config.shard.kv_cache_dtype = dtype;
-        config.shard.enable_prefix_cache = cache;
+        api::EngineConfig config;
+        config.scheduler.kv_cache_dtype = dtype;
+        config.scheduler.enable_prefix_cache = cache;
         if (cards > 1) config.shard_roles = Roles(cards);
-        ClusterRouter router(prog, f.weights,
-                             hw::MultiCardConfig::Homogeneous(f.u280, cards),
-                             config);
-        auto report = router.Run(reqs, sc);
+        auto report = RunCards(prog, f, cards, config, sc, reqs);
         ASSERT_TRUE(report.ok())
             << cards << " cards dtype " << static_cast<int>(dtype)
             << " cache " << cache << ": " << report.status().ToString();
         ASSERT_EQ(report->merged.outcomes.size(), reqs.size());
         for (std::size_t i = 0; i < reqs.size(); ++i) {
           EXPECT_EQ(report->merged.outcomes[i].generated,
-                    baseline->outcomes[i].generated)
+                    baseline->merged.outcomes[i].generated)
               << cards << " cards dtype " << static_cast<int>(dtype)
               << " cache " << cache << " request " << i;
         }
@@ -207,23 +214,20 @@ TEST(DisaggTest, StreamsIdenticalUnderEveryFetchPolicy) {
   sc.temperature = 0.8f;
   sc.seed = 21;
 
-  ContinuousBatchScheduler single(prog, f.weights, f.u280);
-  auto baseline = single.Run(reqs, sc);
+  auto baseline = RunCards(prog, f, 1, {}, sc, reqs);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
 
   for (PrefixFetchPolicy policy :
        {PrefixFetchPolicy::kAuto, PrefixFetchPolicy::kAlwaysFetch,
         PrefixFetchPolicy::kNeverFetch}) {
-    ClusterConfig config;
-    config.shard.block_size_tokens = 8;
+    api::EngineConfig config;
+    config.scheduler.block_size_tokens = 8;
     config.prefix_fetch = policy;
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-    auto report = router.Run(reqs, sc);
+    auto report = RunCards(prog, f, 2, config, sc, reqs);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(report->merged.outcomes[i].generated,
-                baseline->outcomes[i].generated)
+                baseline->merged.outcomes[i].generated)
           << PrefixFetchPolicyName(policy) << " request " << i;
     }
   }
@@ -239,13 +243,11 @@ TEST(DisaggTest, FetchPolicySeamsForceEachArbitrationBranch) {
   sc.seed = 21;
 
   auto run = [&](PrefixFetchPolicy policy) {
-    ClusterConfig config;
-    config.shard.block_size_tokens = 8;
+    api::EngineConfig config;
+    config.scheduler.block_size_tokens = 8;
     config.placement = PlacementPolicy::kRoundRobin;  // splits prefixes
     config.prefix_fetch = policy;
-    ClusterRouter router(prog, f.weights,
-                         hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-    auto report = router.Run(reqs, sc);
+    auto report = RunCards(prog, f, 2, config, sc, reqs);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return std::move(*report);
   };
@@ -287,14 +289,12 @@ TEST(DisaggTest, InterconnectLocalDmaReconcilesWithPoolStats) {
   auto reqs = SharedTrace(f.config, 16);
   llama::SamplerConfig sc;
   sc.seed = 5;
-  ClusterConfig config;
-  config.shard.block_size_tokens = 8;
-  config.shard.charge_dma_cost = true;
+  api::EngineConfig config;
+  config.scheduler.block_size_tokens = 8;
+  config.scheduler.charge_dma_cost = true;
   const std::uint64_t tight = 10ull * 8 * KvBytesPerToken(f.config);
   config.kv_pool_bytes_per_card = {tight, tight};
-  ClusterRouter router(prog, f.weights,
-                       hw::MultiCardConfig::Homogeneous(f.u280, 2), config);
-  auto report = router.Run(reqs, sc);
+  auto report = RunCards(prog, f, 2, config, sc, reqs);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   // Every COW/restore/swap byte the pools report was queued through the
   // interconnect's shared channel stations -- nothing is double-charged

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/engine.hpp"
+#include "api/engine.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
 #include "runtime/variants.hpp"
@@ -53,6 +55,20 @@ llama::SamplerConfig Greedy() {
   llama::SamplerConfig sc;
   sc.temperature = 0.0f;
   return sc;
+}
+
+/// Greedy one-card offline run of `reqs` under scheduler knobs `config`.
+ServingReport RunOneCard(const Fixture& f, const accel::Program& prog,
+                         const SchedulerConfig& config,
+                         const std::vector<ServingRequest>& reqs) {
+  api::EngineConfig engine_config;
+  engine_config.scheduler = config;
+  engine_config.sampler = Greedy();
+  auto report = api::RunOffline(prog, f.weights,
+                                hw::MultiCardConfig::Homogeneous(f.u280, 1),
+                                engine_config, reqs);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? std::move(report).value().merged : ServingReport{};
 }
 
 /// Sequences of `seq_tokens` tokens a pool carved as `dtype` from
@@ -127,10 +143,7 @@ TEST(KvQuantTest, GreedyStreamsIdenticalAcrossDtypesAndDmaCosting) {
     SchedulerConfig config = base;
     config.kv_cache_dtype = dtype;
     config.charge_dma_cost = charge_dma;
-    auto report = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                      .Run(reqs, Greedy());
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
+    return RunOneCard(f, prog, config, reqs);
   };
 
   const ServingReport fp16_on = run(KvCacheDtype::kFp16, true);
@@ -170,10 +183,7 @@ TEST(KvQuantTest, Int8PoolPreemptsLessUnderEqualPressure) {
   auto run = [&](KvCacheDtype dtype) {
     SchedulerConfig config = base;
     config.kv_cache_dtype = dtype;
-    auto report = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                      .Run(reqs, Greedy());
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
+    return RunOneCard(f, prog, config, reqs);
   };
   const ServingReport fp16 = run(KvCacheDtype::kFp16);
   const ServingReport int8 = run(KvCacheDtype::kInt8);
@@ -188,25 +198,22 @@ TEST(KvQuantTest, Int8PoolPreemptsLessUnderEqualPressure) {
 TEST(KvQuantTest, PerCardDtypeClusterKeepsStreamsIdentical) {
   Fixture f;
   auto prog = f.Compile();
-  ClusterConfig homo;
-  homo.shard.block_size_tokens = 8;
+  api::EngineConfig homo;
+  homo.scheduler.block_size_tokens = 8;
   std::vector<ServingRequest> reqs;
   for (int i = 0; i < 8; ++i) {
     reqs.push_back(MakeRequest(6, 6, 0.0005 * i, i % 3));
   }
-  llama::SamplerConfig sc;
-  sc.temperature = 0.0f;
+  homo.sampler = Greedy();
 
   auto cards = hw::MultiCardConfig::Homogeneous(f.u280, 2);
-  ClusterRouter homo_router(prog, f.weights, cards, homo);
-  auto homo_report = homo_router.Run(reqs, sc);
+  auto homo_report = api::RunOffline(prog, f.weights, cards, homo, reqs);
   ASSERT_TRUE(homo_report.ok()) << homo_report.status().ToString();
 
   // Card 0 fp16, card 1 int8: placement is unchanged, streams identical.
   cards.kv_dtype_per_card = {KvCacheDtype::kFp16, KvCacheDtype::kInt8};
   ASSERT_TRUE(cards.Validate().ok());
-  ClusterRouter mixed_router(prog, f.weights, cards, homo);
-  auto mixed_report = mixed_router.Run(reqs, sc);
+  auto mixed_report = api::RunOffline(prog, f.weights, cards, homo, reqs);
   ASSERT_TRUE(mixed_report.ok()) << mixed_report.status().ToString();
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     EXPECT_EQ(mixed_report->merged.outcomes[i].generated,

@@ -1,17 +1,20 @@
-// Unit tests for the continuous-batching scheduler (serving/scheduler.hpp):
-// deterministic batch composition, policy ordering, aging/no-starvation,
-// KV exhaustion preemption, and the batching win over the legacy
-// round-robin serving path.
+// Unit tests for one card's continuous-batching scheduler
+// (serving/scheduler.hpp knobs, run as a one-card api::RunOffline):
+// deterministic batch composition (read off the telemetry trace), policy
+// ordering, aging/no-starvation, KV exhaustion preemption, and the
+// batching win over the round-robin baseline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "api/engine.hpp"
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
-#include "runtime/serving.hpp"
+#include "runtime/round_robin.hpp"
 #include "runtime/variants.hpp"
 #include "serving/scheduler.hpp"
 #include "serving/workload.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::serving {
 namespace {
@@ -46,6 +49,53 @@ llama::SamplerConfig Greedy() {
   return sc;
 }
 
+/// Serves `reqs` on one card: a single card is a cluster of one.
+StatusOr<ServingReport> RunOneCard(const accel::Program& prog,
+                                   const Fixture& f,
+                                   const SchedulerConfig& config,
+                                   const std::vector<ServingRequest>& reqs,
+                                   const llama::SamplerConfig& sampler) {
+  api::EngineConfig engine_config;
+  engine_config.scheduler = config;
+  engine_config.sampler = sampler;
+  SPEEDLLM_ASSIGN_OR_RETURN(
+      ClusterReport report,
+      api::RunOffline(prog, f.weights,
+                      hw::MultiCardConfig::Homogeneous(f.u280, 1),
+                      engine_config, reqs));
+  return std::move(report.merged);
+}
+
+/// A greedy one-card run with tracing on, plus the per-tick batch
+/// composition read back from the trace.
+struct TracedRun {
+  StatusOr<ServingReport> report = ServingReport{};
+  std::vector<testutil::TickComposition> ticks;
+};
+
+TracedRun RunTraced(const accel::Program& prog, const Fixture& f,
+                    const SchedulerConfig& config,
+                    const std::vector<ServingRequest>& reqs) {
+  api::EngineConfig engine_config;
+  engine_config.scheduler = config;
+  engine_config.sampler = Greedy();
+  engine_config.telemetry.enable_tracing = true;
+  api::Engine engine(prog, f.weights, f.u280, engine_config);
+  for (const ServingRequest& req : reqs) {
+    EXPECT_TRUE(engine.Submit(req).ok());
+  }
+  engine.RunToCompletion();
+  TracedRun run;
+  run.ticks = testutil::TicksFromTrace(engine.telemetry()->trace()->events());
+  auto report = engine.Finish();
+  if (report.ok()) {
+    run.report = std::move(report->merged);
+  } else {
+    run.report = report.status();
+  }
+  return run;
+}
+
 // ---------------- batch composition ----------------
 
 TEST(SchedulerTest, ExactBatchCompositionFcfs) {
@@ -55,31 +105,28 @@ TEST(SchedulerTest, ExactBatchCompositionFcfs) {
   config.policy = BatchPolicy::kFcfs;
   config.max_batch_tokens = 8;
   config.max_batch_seqs = 4;
-  config.record_ticks = true;
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280, config);
   std::vector<ServingRequest> reqs = {MakeRequest(3, 2, 0.0, 0),
                                       MakeRequest(3, 2, 0.0, 1)};
-  auto report = sched.Run(reqs, Greedy());
+  TracedRun run = RunTraced(prog, f, config, reqs);
+  const auto& report = run.report;
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
   ASSERT_EQ(report->ticks, 3);
-  ASSERT_EQ(report->tick_log.size(), 3u);
+  ASSERT_EQ(run.ticks.size(), 3u);
   // Tick 0: both prompts prefill together inside the 8-token budget.
-  EXPECT_TRUE(report->tick_log[0].decode_seqs.empty());
-  EXPECT_EQ(report->tick_log[0].prefill_seqs,
-            (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(report->tick_log[0].prefill_tokens, 6);
+  EXPECT_TRUE(run.ticks[0].decode_streams.empty());
+  EXPECT_EQ(run.ticks[0].prefill_streams, (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(run.ticks[0].prefill_tokens, 6);
   // Ticks 1-2: pure grouped decode over both sequences.
-  for (int t = 1; t <= 2; ++t) {
-    EXPECT_EQ(report->tick_log[static_cast<std::size_t>(t)].decode_seqs,
-              (std::vector<std::size_t>{0, 1}));
-    EXPECT_EQ(report->tick_log[static_cast<std::size_t>(t)].prefill_tokens, 0);
+  for (std::size_t t = 1; t <= 2; ++t) {
+    EXPECT_EQ(run.ticks[t].decode_streams, (std::vector<std::size_t>{0, 1}));
+    EXPECT_EQ(run.ticks[t].prefill_tokens, 0);
   }
   // Both TTFTs land at the end of the shared prefill tick.
   EXPECT_DOUBLE_EQ(report->outcomes[0].first_token_seconds,
-                   report->tick_log[0].end_seconds);
+                   run.ticks[0].end_seconds);
   EXPECT_DOUBLE_EQ(report->outcomes[1].first_token_seconds,
-                   report->tick_log[0].end_seconds);
+                   run.ticks[0].end_seconds);
   EXPECT_EQ(report->total_tokens, 2 * (3 + 2));
   EXPECT_DOUBLE_EQ(report->mean_batch_width, 2.0);
 }
@@ -90,27 +137,24 @@ TEST(SchedulerTest, ShortestPromptFirstReordersAdmission) {
   SchedulerConfig config;
   config.max_batch_tokens = 4;
   config.max_batch_seqs = 4;
-  config.record_ticks = true;
   std::vector<ServingRequest> reqs = {MakeRequest(8, 1, 0.0, 0),
                                       MakeRequest(2, 1, 0.0, 1)};
 
   config.policy = BatchPolicy::kFcfs;
-  auto fcfs = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                  .Run(reqs, Greedy());
-  ASSERT_TRUE(fcfs.ok());
-  ASSERT_FALSE(fcfs->tick_log.empty());
+  TracedRun fcfs = RunTraced(prog, f, config, reqs);
+  ASSERT_TRUE(fcfs.report.ok());
+  ASSERT_FALSE(fcfs.ticks.empty());
   // FCFS: the long head request monopolizes the first tick's budget.
-  EXPECT_EQ(fcfs->tick_log[0].prefill_seqs, (std::vector<std::size_t>{0}));
+  EXPECT_EQ(fcfs.ticks[0].prefill_streams, (std::vector<std::size_t>{0}));
 
   config.policy = BatchPolicy::kShortestPromptFirst;
-  auto spf = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                 .Run(reqs, Greedy());
-  ASSERT_TRUE(spf.ok());
-  ASSERT_FALSE(spf->tick_log.empty());
+  TracedRun spf = RunTraced(prog, f, config, reqs);
+  ASSERT_TRUE(spf.report.ok());
+  ASSERT_FALSE(spf.ticks.empty());
   // SPF: the short prompt jumps the queue and both fit the first tick.
-  EXPECT_EQ(spf->tick_log[0].prefill_seqs, (std::vector<std::size_t>{1, 0}));
-  EXPECT_LT(spf->outcomes[1].time_to_first_token(),
-            fcfs->outcomes[1].time_to_first_token());
+  EXPECT_EQ(spf.ticks[0].prefill_streams, (std::vector<std::size_t>{1, 0}));
+  EXPECT_LT(spf.report->outcomes[1].time_to_first_token(),
+            fcfs.report->outcomes[1].time_to_first_token());
 }
 
 TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
@@ -120,17 +164,15 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
   config.policy = BatchPolicy::kDecodePriority;
   config.prefill_chunk_tokens = 2;
   config.max_batch_tokens = 16;
-  config.record_ticks = true;
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280, config);
   std::vector<ServingRequest> reqs = {MakeRequest(2, 10, 0.0, 0),
                                       MakeRequest(6, 2, 0.0, 1)};
-  auto report = sched.Run(reqs, Greedy());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  TracedRun run = RunTraced(prog, f, config, reqs);
+  ASSERT_TRUE(run.report.ok()) << run.report.status().ToString();
 
   bool mixed_tick = false;
-  for (const TickRecord& tick : report->tick_log) {
+  for (const testutil::TickComposition& tick : run.ticks) {
     EXPECT_LE(tick.prefill_tokens, 2);  // chunked prefill honors the cap
-    if (!tick.decode_seqs.empty() && tick.prefill_tokens > 0) {
+    if (!tick.decode_streams.empty() && tick.prefill_tokens > 0) {
       mixed_tick = true;
     }
   }
@@ -138,11 +180,10 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
 
   // FCFS has no such cap: the 6-token prompt prefills in one gulp.
   config.policy = BatchPolicy::kFcfs;
-  auto fcfs = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                  .Run(reqs, Greedy());
-  ASSERT_TRUE(fcfs.ok());
+  TracedRun fcfs = RunTraced(prog, f, config, reqs);
+  ASSERT_TRUE(fcfs.report.ok());
   std::int32_t max_prefill = 0;
-  for (const TickRecord& tick : fcfs->tick_log) {
+  for (const testutil::TickComposition& tick : fcfs.ticks) {
     max_prefill = std::max(max_prefill, tick.prefill_tokens);
   }
   EXPECT_GT(max_prefill, 2);
@@ -162,12 +203,10 @@ TEST(SchedulerTest, AgingPreventsShortestPromptStarvation) {
   for (int i = 1; i <= 4; ++i) reqs.push_back(MakeRequest(2, 1, 0.0, i));
 
   config.starvation_grace_ticks = 2;
-  auto aged = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                  .Run(reqs, Greedy());
+  auto aged = RunOneCard(prog, f, config, reqs, Greedy());
   ASSERT_TRUE(aged.ok());
   config.starvation_grace_ticks = 1000000;
-  auto starved = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                     .Run(reqs, Greedy());
+  auto starved = RunOneCard(prog, f, config, reqs, Greedy());
   ASSERT_TRUE(starved.ok());
 
   auto rank_of_long = [](const ServingReport& report) {
@@ -204,13 +243,11 @@ TEST(SchedulerTest, PreemptionBySwapIsTransparent) {
                                       MakeRequest(4, 12, 0.0, 1),
                                       MakeRequest(4, 12, 0.0, 2)};
 
-  auto tight_report = ContinuousBatchScheduler(prog, f.weights, f.u280, tight)
-                          .Run(reqs, Greedy());
+  auto tight_report = RunOneCard(prog, f, tight, reqs, Greedy());
   ASSERT_TRUE(tight_report.ok()) << tight_report.status().ToString();
   SchedulerConfig roomy = tight;
   roomy.kv_pool_bytes = 0;  // derive from full HBM: effectively unbounded
-  auto roomy_report = ContinuousBatchScheduler(prog, f.weights, f.u280, roomy)
-                          .Run(reqs, Greedy());
+  auto roomy_report = RunOneCard(prog, f, roomy, reqs, Greedy());
   ASSERT_TRUE(roomy_report.ok());
 
   EXPECT_GT(tight_report->preemptions, 0);
@@ -245,13 +282,11 @@ TEST(SchedulerTest, CachedPrefixSkipsPrefillAndCutsTtft) {
                                       MakeRequest(32, 8, 0.05, 5)};
   SchedulerConfig off;
   off.enable_prefix_cache = false;
-  auto report_off = ContinuousBatchScheduler(prog, f.weights, f.u280, off)
-                        .Run(reqs, Greedy());
+  auto report_off = RunOneCard(prog, f, off, reqs, Greedy());
   ASSERT_TRUE(report_off.ok()) << report_off.status().ToString();
   SchedulerConfig on;
   on.enable_prefix_cache = true;
-  auto report_on = ContinuousBatchScheduler(prog, f.weights, f.u280, on)
-                       .Run(reqs, Greedy());
+  auto report_on = RunOneCard(prog, f, on, reqs, Greedy());
   ASSERT_TRUE(report_on.ok()) << report_on.status().ToString();
 
   // Byte-identical streams, with and without the cache.
@@ -277,8 +312,7 @@ TEST(SchedulerTest, RequestLargerThanPoolIsRejected) {
   SchedulerConfig config;
   config.block_size_tokens = 4;
   config.kv_pool_bytes = 2ull * 4 * KvBytesPerToken(f.config);  // 8 tokens
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280, config);
-  auto report = sched.Run({MakeRequest(6, 6, 0.0)}, Greedy());
+  auto report = RunOneCard(prog, f, config, {MakeRequest(6, 6, 0.0)}, Greedy());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kResourceExhausted);
 }
@@ -288,27 +322,27 @@ TEST(SchedulerTest, RequestLargerThanPoolIsRejected) {
 TEST(SchedulerTest, ValidatesRequests) {
   Fixture f;
   auto prog = f.Compile();
-  ContinuousBatchScheduler sched(prog, f.weights, f.u280);
+  const SchedulerConfig config;
   llama::SamplerConfig sc = Greedy();
+  auto run = [&](const std::vector<ServingRequest>& reqs) {
+    return RunOneCard(prog, f, config, reqs, sc);
+  };
 
   std::vector<ServingRequest> empty_prompt(1);
-  EXPECT_EQ(sched.Run(empty_prompt, sc).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(run(empty_prompt).status().code(), StatusCode::kInvalidArgument);
 
   auto zero_gen = MakeRequest(3, 1, 0.0);
   zero_gen.max_new_tokens = 0;
-  EXPECT_EQ(sched.Run({zero_gen}, sc).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(run({zero_gen}).status().code(), StatusCode::kInvalidArgument);
 
   auto negative_arrival = MakeRequest(3, 2, -1.0);
-  EXPECT_EQ(sched.Run({negative_arrival}, sc).status().code(),
+  EXPECT_EQ(run({negative_arrival}).status().code(),
             StatusCode::kInvalidArgument);
 
   auto too_long = MakeRequest(3, f.config.seq_len, 0.0);
-  EXPECT_EQ(sched.Run({too_long}, sc).status().code(),
-            StatusCode::kOutOfRange);
+  EXPECT_EQ(run({too_long}).status().code(), StatusCode::kOutOfRange);
 
-  EXPECT_TRUE(sched.Run({}, sc).ok());
+  EXPECT_TRUE(run({}).ok());
 }
 
 // ---------------- determinism & functional equivalence ----------------
@@ -329,10 +363,8 @@ TEST(SchedulerTest, DeterministicAcrossRuns) {
   sc.temperature = 0.8f;
   sc.seed = 9;
   SchedulerConfig config;
-  auto a = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-               .Run(reqs, sc);
-  auto b = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-               .Run(reqs, sc);
+  auto a = RunOneCard(prog, f, config, reqs, sc);
+  auto b = RunOneCard(prog, f, config, reqs, sc);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   for (std::size_t i = 0; i < reqs.size(); ++i) {
@@ -358,17 +390,15 @@ TEST(SchedulerTest, TokenStreamsInvariantToPolicyAndBatching) {
   sc.temperature = 0.9f;
   sc.seed = 13;
 
-  runtime::ServingSimulator legacy(prog, f.weights, f.u280,
-                                   runtime::ServingMode::kLegacyRoundRobin);
-  auto baseline = legacy.Run(reqs, sc);
+  auto baseline =
+      runtime::RunRoundRobinBaseline(prog, f.weights, f.u280, reqs, sc);
   ASSERT_TRUE(baseline.ok());
   for (BatchPolicy policy :
        {BatchPolicy::kFcfs, BatchPolicy::kShortestPromptFirst,
         BatchPolicy::kDecodePriority}) {
     SchedulerConfig config;
     config.policy = policy;
-    auto report = ContinuousBatchScheduler(prog, f.weights, f.u280, config)
-                      .Run(reqs, sc);
+    auto report = RunOneCard(prog, f, config, reqs, sc);
     ASSERT_TRUE(report.ok()) << BatchPolicyName(policy);
     for (std::size_t i = 0; i < reqs.size(); ++i) {
       EXPECT_EQ(report->outcomes[i].generated, baseline->outcomes[i].generated)
@@ -385,13 +415,11 @@ TEST(SchedulerTest, ContinuousBatchingBeatsLegacyAtFourConcurrent) {
   std::vector<ServingRequest> reqs;
   for (int i = 0; i < 4; ++i) reqs.push_back(MakeRequest(6, 8, 0.0, i));
 
-  runtime::ServingSimulator legacy(prog, f.weights, f.u280,
-                                   runtime::ServingMode::kLegacyRoundRobin);
-  auto legacy_report = legacy.Run(reqs, Greedy());
+  auto legacy_report =
+      runtime::RunRoundRobinBaseline(prog, f.weights, f.u280, reqs, Greedy());
   ASSERT_TRUE(legacy_report.ok());
 
-  runtime::ServingSimulator batched(prog, f.weights, f.u280);
-  auto batched_report = batched.Run(reqs, Greedy());
+  auto batched_report = RunOneCard(prog, f, {}, reqs, Greedy());
   ASSERT_TRUE(batched_report.ok());
 
   // Aggregate throughput: the grouped step amortizes the weight stream.

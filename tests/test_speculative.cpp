@@ -29,7 +29,6 @@
 #include "compiler/compiler.hpp"
 #include "llama/tokenizer.hpp"
 #include "obs/export.hpp"
-#include "runtime/serving.hpp"
 #include "runtime/variants.hpp"
 #include "serving/cluster.hpp"
 #include "serving/workload.hpp"

@@ -2,8 +2,7 @@
 // metrics-registry semantics, trace determinism (byte-identical exports
 // across runs; per-stream lifecycles invariant across placement policy,
 // prefix caching, and KV dtype), lifecycle completeness (exactly one
-// terminal event per stream), the record_ticks/tick_log compat view
-// riding the unified event path, zero simulation perturbation from
+// terminal event per stream), zero simulation perturbation from
 // enabling telemetry, and event-vs-report accounting (preemptions, DMA
 // bytes and time) under forced KV pressure.
 #include <gtest/gtest.h>
@@ -313,43 +312,6 @@ TEST(TelemetryTest, EnablingTelemetryDoesNotPerturbTheSimulation) {
   EXPECT_EQ(a.preemptions, b.preemptions);
   EXPECT_EQ(a.dma_bytes_moved, b.dma_bytes_moved);
   EXPECT_EQ(a.dma_time_seconds, b.dma_time_seconds);
-}
-
-// ---------------- tick_log compat ----------------
-
-TEST(TelemetryTest, TickLogCompatViewRidesTheEventPath) {
-  Fixture f;
-  auto prog = f.Compile();
-  auto reqs = MixedTrace(f.config, 6);
-
-  auto run_with = [&](bool telemetry_on) {
-    serving::ClusterConfig config;
-    config.shard.record_ticks = true;
-    config.telemetry.enable_tracing = telemetry_on;
-    config.telemetry.enable_metrics = telemetry_on;
-    serving::ClusterRouter router(prog, f.weights,
-                                  hw::MultiCardConfig::Homogeneous(f.u280, 2),
-                                  config);
-    auto report = router.Run(reqs, Greedy());
-    EXPECT_TRUE(report.ok()) << report.status().ToString();
-    return std::move(report).value();
-  };
-  const serving::ClusterReport compat = run_with(false);
-  const serving::ClusterReport unified = run_with(true);
-
-  ASSERT_FALSE(compat.merged.tick_log.empty());
-  ASSERT_EQ(compat.merged.tick_log.size(), unified.merged.tick_log.size());
-  for (std::size_t i = 0; i < compat.merged.tick_log.size(); ++i) {
-    const serving::TickRecord& x = compat.merged.tick_log[i];
-    const serving::TickRecord& y = unified.merged.tick_log[i];
-    EXPECT_EQ(x.start_seconds, y.start_seconds);
-    EXPECT_EQ(x.end_seconds, y.end_seconds);
-    EXPECT_EQ(x.decode_seqs, y.decode_seqs);
-    EXPECT_EQ(x.prefill_seqs, y.prefill_seqs);
-    EXPECT_EQ(x.prefill_tokens, y.prefill_tokens);
-  }
-  EXPECT_EQ(static_cast<std::int64_t>(compat.merged.tick_log.size()),
-            compat.merged.ticks);
 }
 
 // ---------------- event/report accounting under KV pressure ----------------

@@ -1,4 +1,4 @@
-// Shared helpers for the randomized / seeded test harnesses.
+// Shared test helpers: seeded-harness banners and trace projections.
 //
 // The one rule every seeded suite follows: a failure must print the RNG
 // seed that produced it, so the exact failing run can be replayed by
@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "obs/telemetry.hpp"
 
 namespace speedllm::testutil {
 
@@ -21,6 +25,35 @@ namespace speedllm::testutil {
 inline std::string SeedMessage(const char* harness, std::uint64_t seed) {
   return std::string(harness) + " seed=" + std::to_string(seed) +
          " -- replay by running this harness with this seed";
+}
+
+/// One shard tick's batch composition, projected from a telemetry trace.
+struct TickComposition {
+  double start_seconds = 0.0;
+  double end_seconds = 0.0;
+  std::vector<std::size_t> decode_streams;   ///< streams decoded this tick
+  std::vector<std::size_t> prefill_streams;  ///< streams prefilled this tick
+  std::int32_t prefill_tokens = 0;           ///< prompt tokens prefilled
+};
+
+/// Card `card`'s ticks in clock order, from the kTick events and the
+/// kDecodeToken / kPrefillChunk events recorded right after each one.
+inline std::vector<TickComposition> TicksFromTrace(
+    const std::vector<obs::RequestEvent>& events, std::int32_t card = 0) {
+  std::vector<TickComposition> ticks;
+  for (const obs::RequestEvent& e : events) {
+    if (e.card != card) continue;
+    const auto stream = static_cast<std::size_t>(e.stream);
+    if (e.kind == obs::RequestEventKind::kTick) {
+      ticks.push_back({e.start_seconds, e.end_seconds, {}, {}, 0});
+    } else if (e.kind == obs::RequestEventKind::kDecodeToken) {
+      ticks.back().decode_streams.push_back(stream);
+    } else if (e.kind == obs::RequestEventKind::kPrefillChunk) {
+      ticks.back().prefill_streams.push_back(stream);
+      ticks.back().prefill_tokens += static_cast<std::int32_t>(e.tokens);
+    }
+  }
+  return ticks;
 }
 
 }  // namespace speedllm::testutil
