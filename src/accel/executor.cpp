@@ -37,7 +37,10 @@ TokenRunStats& TokenRunStats::operator+=(const TokenRunStats& o) {
 
 Executor::Executor(const Program& program, const llama::Weights& weights,
                    const hw::U280Config& u280)
-    : program_(&program), weights_(&weights), u280_(u280) {
+    : program_(&program),
+      weights_(&weights),
+      u280_(u280),
+      priced_(static_cast<std::size_t>(program.model.seq_len)) {
   assert(weights.config.num_params() == program.model.num_params());
   const auto& dg = program.dg;
 
@@ -287,9 +290,26 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
     return OutOfRange("pos " + std::to_string(pos) + " >= seq_len " +
                       std::to_string(cfg.seq_len));
   }
+
+  trace_.Clear();
+  std::optional<TokenRunStats>& priced = priced_[static_cast<std::size_t>(pos)];
+  // A traced call re-prices so the spans are recorded.
+  if (!priced || trace_.enabled()) priced = Price(pos);
+  last_stats_ = *priced;
+  total_stats_ += last_stats_;
+
+  for (const Instr& instr : program_->instrs) {
+    if (instr.opcode == Opcode::kCompute) ExecuteCompute(instr, token, pos);
+  }
+
+  const auto& logits = Buffer(program_->dg.logits);
+  return std::span<const float>{logits.data(), logits.size()};
+}
+
+TokenRunStats Executor::Price(std::int32_t pos) {
   const ExecConfig& ex = program_->exec;
 
-  // Fresh timing state per token.
+  // Fresh timing state per priced position.
   sim::Station dma_in("dma_in"), dma_out("dma_out"), mpe("mpe"), sfu("sfu"),
       ctrl("ctrl");
   auto station_for = [&](Unit u) -> sim::Station& {
@@ -304,7 +324,6 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
   };
   hw::HbmStack hbm(u280_.hbm);
   hw::EnergyMeter meter(u280_.power, u280_.clock_mhz);
-  trace_.Clear();
 
   std::vector<sim::Cycles> end_at(program_->instrs.size(), 0);
   std::uint64_t launches = 0;
@@ -360,7 +379,6 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
         sim::Station& st = station_for(instr.unit);
         start = st.Acquire(ready, dur);
         end = start + dur;
-        ExecuteCompute(instr, token, pos);
         break;
       }
     }
@@ -400,27 +418,20 @@ StatusOr<std::span<const float>> Executor::Forward(std::int32_t token,
                      pw.hbm_ctrl_active_w, pw.hbm_ctrl_idle_w);
   meter.FinalizeStatic(makespan);
 
-  last_stats_ = TokenRunStats{};
-  last_stats_.cycles = makespan;
-  last_stats_.seconds = u280_.cycles_to_seconds(makespan);
-  last_stats_.energy = meter.breakdown();
-  last_stats_.joules = meter.total_joules();
-  last_stats_.hbm_bytes = hbm.total_bytes();
-  last_stats_.launches = launches;
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kDmaIn)] =
-      dma_in.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kDmaOut)] =
+  TokenRunStats stats;
+  stats.cycles = makespan;
+  stats.seconds = u280_.cycles_to_seconds(makespan);
+  stats.energy = meter.breakdown();
+  stats.joules = meter.total_joules();
+  stats.hbm_bytes = hbm.total_bytes();
+  stats.launches = launches;
+  stats.unit_busy[static_cast<std::size_t>(Unit::kDmaIn)] = dma_in.busy_cycles();
+  stats.unit_busy[static_cast<std::size_t>(Unit::kDmaOut)] =
       dma_out.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kMpe)] =
-      mpe.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kSfu)] =
-      sfu.busy_cycles();
-  last_stats_.unit_busy[static_cast<std::size_t>(Unit::kCtrl)] =
-      ctrl.busy_cycles();
-  total_stats_ += last_stats_;
-
-  const auto& logits = Buffer(program_->dg.logits);
-  return std::span<const float>{logits.data(), logits.size()};
+  stats.unit_busy[static_cast<std::size_t>(Unit::kMpe)] = mpe.busy_cycles();
+  stats.unit_busy[static_cast<std::size_t>(Unit::kSfu)] = sfu.busy_cycles();
+  stats.unit_busy[static_cast<std::size_t>(Unit::kCtrl)] = ctrl.busy_cycles();
+  return stats;
 }
 
 }  // namespace speedllm::accel

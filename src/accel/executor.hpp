@@ -1,16 +1,21 @@
 // SpeedLLM -- accelerator executor: functional simulation + cycle timing.
 //
-// Executes a compiled Program for one token at a time. Every kCompute
-// instruction produces the real numeric result (using the same float
-// kernels as the CPU reference, so fp32 runs are bit-exact), while every
-// instruction is also scheduled onto the U280 timing model: serial
-// stations (DMA engines, MPE, SFU, control) plus the HBM channel model.
-// Energy is accumulated per activity and finalized per token.
+// Executes a compiled Program for one token at a time, as two separate
+// passes. The functional pass runs every kCompute instruction in program
+// order and produces the real numeric result (using the same float
+// kernels as the CPU reference, so fp32 runs are bit-exact). The pricing
+// pass schedules every instruction onto the U280 timing model: serial
+// stations (DMA engines, MPE, SFU, control) plus the HBM channel model,
+// with energy accumulated per activity and finalized per token. Pricing
+// depends only on the program, the U280 config and the position, so its
+// TokenRunStats are memoized per position; a traced Forward re-prices so
+// its spans are recorded.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -72,6 +77,10 @@ class Executor {
   TensorF& Buffer(graph::ValueId v);
   std::span<const float> WeightSpan(graph::ValueId v) const;
 
+  // Schedules every instruction at `pos` on fresh stations, HBM and energy
+  // meter; records one span per instruction when tracing is enabled.
+  TokenRunStats Price(std::int32_t pos);
+
   // Scales a worst-case quantity by (pos+1)/seq_len for seq-scaled work.
   std::uint64_t SeqScale(std::uint64_t amount, bool scaled,
                          std::int32_t pos) const;
@@ -87,6 +96,9 @@ class Executor {
 
   // Activation / KV-cache storage indexed by ValueId.
   std::vector<TensorF> store_;
+
+  // Price(pos) per position, filled on first use (seq_len entries).
+  std::vector<std::optional<TokenRunStats>> priced_;
 
   TokenRunStats last_stats_;
   TokenRunStats total_stats_;

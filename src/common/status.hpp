@@ -101,7 +101,7 @@ class StatusOr {
 
  private:
   std::optional<T> value_;
-  Status status_ = Internal("uninitialized StatusOr");
+  Status status_;  // OK while a value is held.
 };
 
 /// Propagates errors out of the enclosing function.

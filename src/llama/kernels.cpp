@@ -11,11 +11,34 @@ void MatMul(std::span<float> out, std::span<const float> w,
   assert(out.size() == static_cast<std::size_t>(d));
   assert(w.size() == static_cast<std::size_t>(d * n));
   assert(x.size() == static_cast<std::size_t>(n));
+  const float* xv = x.data();
+  // Four rows per step: four independent accumulator chains share each
+  // x[j] load. Every row is still one left-to-right fp32 sum, so the
+  // result is bit-identical to the one-row loop.
   auto rows = [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
+    std::int64_t i = begin;
+    for (; i + 4 <= end; i += 4) {
+      const float* w0 = w.data() + i * n;
+      const float* w1 = w0 + n;
+      const float* w2 = w1 + n;
+      const float* w3 = w2 + n;
+      float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float xj = xv[j];
+        acc0 += w0[j] * xj;
+        acc1 += w1[j] * xj;
+        acc2 += w2[j] * xj;
+        acc3 += w3[j] * xj;
+      }
+      out[i] = acc0;
+      out[i + 1] = acc1;
+      out[i + 2] = acc2;
+      out[i + 3] = acc3;
+    }
+    for (; i < end; ++i) {
       const float* wrow = w.data() + i * n;
       float acc = 0.0f;
-      for (std::int64_t j = 0; j < n; ++j) acc += wrow[j] * x[j];
+      for (std::int64_t j = 0; j < n; ++j) acc += wrow[j] * xv[j];
       out[i] = acc;
     }
   };

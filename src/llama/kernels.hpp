@@ -2,7 +2,9 @@
 //
 // These are the ground-truth implementations the accelerator's functional
 // results are validated against. matmul is parallelized over output rows
-// with the shared thread pool; everything else is single-threaded (the
+// with the shared thread pool and row-blocked within a range (four rows
+// per step, each with its own accumulator), so every output is still the
+// same left-to-right fp32 sum; everything else is single-threaded (the
 // vectors involved are a few hundred elements).
 #pragma once
 
@@ -15,6 +17,8 @@ namespace speedllm::llama {
 
 /// out[d] = W[d, n] * x[n]   (row-major W, the llama2.c convention).
 /// Runs rows in parallel on `pool` (or serially when pool is null).
+/// Bit-identical to the one-row loop out[i] = sum_j W[i][j] * x[j] summed
+/// left to right, for any row split.
 void MatMul(std::span<float> out, std::span<const float> w,
             std::span<const float> x, std::int64_t d, std::int64_t n,
             ThreadPool* pool = nullptr);

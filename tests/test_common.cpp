@@ -86,6 +86,18 @@ TEST(StatusOrTest, MoveOnlyTypes) {
   EXPECT_EQ(*p, 7);
 }
 
+TEST(StatusTest, StatusOrHoldingValueReportsOk) {
+  auto good = ParsePositive(5);
+  ASSERT_TRUE(good.ok());
+  EXPECT_TRUE(good.status().ok());
+  EXPECT_EQ(good.status(), Status::Ok());
+  auto forward = [&]() -> Status {
+    SPEEDLLM_RETURN_IF_ERROR(good.status());
+    return Status::Ok();
+  };
+  EXPECT_TRUE(forward().ok());
+}
+
 // ---------------- Shape / Tensor ----------------
 
 TEST(ShapeTest, BasicProperties) {

@@ -2,6 +2,7 @@
 // reference, timing-model invariants, and energy accounting.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "accel/executor.hpp"
@@ -228,6 +229,99 @@ TEST(ExecutorTest, TotalStatsAccumulate) {
             first.cycles + exec.last_stats().cycles);
   exec.ResetStats();
   EXPECT_EQ(exec.total_stats().cycles, 0u);
+}
+
+// ---------------- Per-position timing memo ----------------
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void ExpectSameStats(const TokenRunStats& a, const TokenRunStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(Bits(a.seconds), Bits(b.seconds));
+  EXPECT_EQ(Bits(a.joules), Bits(b.joules));
+  const hw::EnergyBreakdown& ea = a.energy;
+  const hw::EnergyBreakdown& eb = b.energy;
+  EXPECT_EQ(Bits(ea.hbm_j), Bits(eb.hbm_j));
+  EXPECT_EQ(Bits(ea.bram_j), Bits(eb.bram_j));
+  EXPECT_EQ(Bits(ea.mac_j), Bits(eb.mac_j));
+  EXPECT_EQ(Bits(ea.sfu_j), Bits(eb.sfu_j));
+  EXPECT_EQ(Bits(ea.launch_j), Bits(eb.launch_j));
+  EXPECT_EQ(Bits(ea.unit_active_j), Bits(eb.unit_active_j));
+  EXPECT_EQ(Bits(ea.unit_idle_j), Bits(eb.unit_idle_j));
+  EXPECT_EQ(Bits(ea.static_j), Bits(eb.static_j));
+  EXPECT_EQ(a.hbm_bytes, b.hbm_bytes);
+  EXPECT_EQ(a.launches, b.launches);
+  EXPECT_EQ(a.unit_busy, b.unit_busy);
+}
+
+void ExpectSameSpans(const std::vector<sim::TraceSpan>& a,
+                     const std::vector<sim::TraceSpan>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].instr_id, b[i].instr_id);
+    EXPECT_EQ(a[i].station, b[i].station);
+    EXPECT_EQ(a[i].start, b[i].start);
+    EXPECT_EQ(a[i].end, b[i].end);
+    EXPECT_EQ(a[i].bytes, b[i].bytes);
+    EXPECT_EQ(a[i].ops, b[i].ops);
+    EXPECT_EQ(a[i].label, b[i].label);
+  }
+}
+
+TEST(ExecutorMemoTest, RepeatedPositionMatchesFreshExecutor) {
+  Harness s(llama::ModelConfig::Tiny());
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  const std::int32_t kPositions = 6;
+
+  // Each position priced by a fresh executor's first call.
+  std::vector<TokenRunStats> fresh;
+  for (std::int32_t pos = 0; pos < kPositions; ++pos) {
+    Executor e(prog, s.weights, s.u280);
+    ASSERT_TRUE(e.Forward(3, pos).ok());
+    fresh.push_back(e.last_stats());
+  }
+
+  Executor exec(prog, s.weights, s.u280);
+  TokenRunStats expected_total;
+  for (std::int32_t round = 0; round < 3; ++round) {
+    // Round 1 repeats the same positions after a reset; round 2 with
+    // different tokens.
+    if (round > 0) exec.ResetSequence();
+    for (std::int32_t pos = 0; pos < kPositions; ++pos) {
+      const std::int32_t token = round == 2 ? (pos * 97 + 5) % s.config.vocab_size : 3;
+      ASSERT_TRUE(exec.Forward(token, pos).ok());
+      SCOPED_TRACE("round " + std::to_string(round) + " pos " + std::to_string(pos));
+      ExpectSameStats(exec.last_stats(), fresh[static_cast<std::size_t>(pos)]);
+      expected_total += fresh[static_cast<std::size_t>(pos)];
+      EXPECT_TRUE(exec.trace().spans().empty());
+    }
+  }
+  ExpectSameStats(exec.total_stats(), expected_total);
+}
+
+TEST(ExecutorMemoTest, TraceAtPricedPositionRecordsSameSpans) {
+  Harness s(llama::ModelConfig::Tiny());
+  Program prog = s.Compile(compiler::CompilerOptions::SpeedLLM());
+  const std::int32_t pos = 4;
+
+  Executor first(prog, s.weights, s.u280);
+  first.EnableTrace(true);
+  ASSERT_TRUE(first.Forward(7, pos).ok());
+  const std::vector<sim::TraceSpan> expected = first.trace().spans();
+  ASSERT_FALSE(expected.empty());
+
+  Executor exec(prog, s.weights, s.u280);
+  ASSERT_TRUE(exec.Forward(7, pos).ok());  // prices `pos` untraced
+  EXPECT_TRUE(exec.trace().spans().empty());
+  exec.EnableTrace(true);
+  ASSERT_TRUE(exec.Forward(9, pos).ok());
+  ExpectSameSpans(exec.trace().spans(), expected);
+  ExpectSameStats(exec.last_stats(), first.last_stats());
+
+  // Tracing off again: the next call clears the trace and records nothing.
+  exec.EnableTrace(false);
+  ASSERT_TRUE(exec.Forward(9, pos).ok());
+  EXPECT_TRUE(exec.trace().spans().empty());
 }
 
 TEST(ExecutorTest, RejectsOutOfRangeInputs) {

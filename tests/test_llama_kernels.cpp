@@ -2,10 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "common/threadpool.hpp"
+#include "llama/config.hpp"
 #include "llama/kernels.hpp"
 
 namespace speedllm::llama {
@@ -19,6 +21,36 @@ std::vector<float> RandomVec(std::size_t n, std::uint64_t seed) {
 }
 
 // ---------------- MatMul ----------------
+
+// MatMul must reproduce, bit for bit, the one-row loop: each out[i] the
+// left-to-right fp32 sum of w[i][j] * x[j].
+std::vector<float> OracleMatMul(const std::vector<float>& w,
+                                const std::vector<float>& x, std::int64_t d,
+                                std::int64_t n) {
+  std::vector<float> out(static_cast<std::size_t>(d));
+  for (std::int64_t i = 0; i < d; ++i) {
+    float acc = 0.0f;
+    for (std::int64_t j = 0; j < n; ++j) acc += w[i * n + j] * x[j];
+    out[i] = acc;
+  }
+  return out;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+/// Every (d, n) a model's forward pass multiplies: wq/wo, wk/wv, w1/w3,
+/// w2 and the classifier.
+std::vector<std::pair<std::int64_t, std::int64_t>> ModelShapes(
+    const ModelConfig& c) {
+  return {{c.dim, c.dim},
+          {c.kv_dim(), c.dim},
+          {c.hidden_dim, c.dim},
+          {c.dim, c.hidden_dim},
+          {c.vocab_size, c.dim}};
+}
 
 TEST(MatMulTest, KnownSmallCase) {
   // W = [[1,2],[3,4],[5,6]], x = [10, 100] -> [210, 430, 650]
@@ -56,16 +88,58 @@ TEST_P(MatMulSweep, ThreadedMatchesSerial) {
   for (std::int64_t i = 0; i < d; ++i) {
     EXPECT_EQ(serial[i], threaded[i]) << "row " << i;
   }
+  // Against the oracle too: the pool's chunks may start at any row.
+  EXPECT_TRUE(SameBits(threaded, OracleMatMul(w, x, d, n)));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MatMulSweep,
     ::testing::Values(std::make_pair<std::int64_t, std::int64_t>(1, 1),
                       std::make_pair<std::int64_t, std::int64_t>(3, 7),
+                      std::make_pair<std::int64_t, std::int64_t>(37, 29),
                       std::make_pair<std::int64_t, std::int64_t>(64, 64),
                       std::make_pair<std::int64_t, std::int64_t>(288, 288),
                       std::make_pair<std::int64_t, std::int64_t>(768, 288),
                       std::make_pair<std::int64_t, std::int64_t>(288, 768)));
+
+TEST(MatMulOracleTest, BitExactOnEdgeAndModelShapes) {
+  std::vector<std::pair<std::int64_t, std::int64_t>> shapes;
+  for (std::int64_t d : {1, 3, 4, 5, 13}) {
+    shapes.emplace_back(d, 1);
+    shapes.emplace_back(d, 37);
+  }
+  for (const auto& s : ModelShapes(ModelConfig::Tiny())) shapes.push_back(s);
+  for (const auto& s : ModelShapes(ModelConfig::Stories15M())) {
+    shapes.push_back(s);
+  }
+  std::uint64_t seed = 100;
+  for (auto [d, n] : shapes) {
+    auto w = RandomVec(static_cast<std::size_t>(d * n), ++seed);
+    auto x = RandomVec(static_cast<std::size_t>(n), ++seed);
+    std::vector<float> out(static_cast<std::size_t>(d));
+    MatMul(out, w, x, d, n);
+    EXPECT_TRUE(SameBits(out, OracleMatMul(w, x, d, n)))
+        << "d=" << d << " n=" << n;
+  }
+}
+
+TEST(MatMulOracleTest, BitExactOnRowTileAtOddOffset) {
+  // The executor's kMatMulTile hands MatMul a row sub-range of W.
+  const std::int64_t d = 29, n = 48;
+  auto w = RandomVec(static_cast<std::size_t>(d * n), 7);
+  auto x = RandomVec(static_cast<std::size_t>(n), 8);
+  const auto oracle = OracleMatMul(w, x, d, n);
+  for (auto [r0, r1] : {std::pair<std::int64_t, std::int64_t>{3, 10},
+                        {5, 6}, {7, 26}, {1, 29}}) {
+    std::vector<float> tile(static_cast<std::size_t>(r1 - r0));
+    MatMul(tile,
+           std::span<const float>(w).subspan(static_cast<std::size_t>(r0 * n),
+                                             static_cast<std::size_t>((r1 - r0) * n)),
+           x, r1 - r0, n);
+    std::vector<float> expected(oracle.begin() + r0, oracle.begin() + r1);
+    EXPECT_TRUE(SameBits(tile, expected)) << "rows [" << r0 << ", " << r1 << ")";
+  }
+}
 
 // ---------------- RmsNorm ----------------
 
