@@ -128,8 +128,7 @@ int main(int argc, char** argv) {
     api::EngineConfig cluster;
     cluster.placement = serving::PlacementPolicy::kLeastOutstandingTokens;
     cluster.scheduler.max_batch_seqs = 16;
-    cluster.scheduler.speculative.enable = spec_on;
-    cluster.scheduler.speculative.draft_tokens = k;
+    cluster.scheduler.speculative.draft_tokens = spec_on ? k : 0;
     cluster.scheduler.speculative.acceptance_rate = rate;
     cluster.scheduler.speculative.draft_cost_ratio = ratio;
     auto report = bench::RunCards(program, weights, u280, 4, cluster,

@@ -48,8 +48,8 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
     // Out-of-range knobs are clamped by NormalizeSchedulerConfig; only
     // non-finite values are unrecoverable.
     const serving::SpeculativeConfig& spec = config_.scheduler.speculative;
-    if (spec.enable && (!std::isfinite(spec.acceptance_rate) ||
-                        !std::isfinite(spec.draft_cost_ratio))) {
+    if (spec.draft_tokens > 0 && (!std::isfinite(spec.acceptance_rate) ||
+                                  !std::isfinite(spec.draft_cost_ratio))) {
       setup_ = InvalidArgument(
           "speculative acceptance_rate / draft_cost_ratio must be finite");
     }

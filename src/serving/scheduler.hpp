@@ -102,16 +102,16 @@ using TierSloTargets = std::array<TierSlo, kNumTiers>;
 /// invariant across card count, placement, caching, dtype, and roles.
 /// Committed tokens are always the target model's own greedy/sampled
 /// tokens -- speculation moves latency, never content -- so streams are
-/// byte-identical with speculation on or off (locked by
-/// tests/test_speculative.cpp). Draft KV appends are rolled back through
+/// byte-identical for every k (locked by tests/test_speculative.cpp).
+/// Draft KV appends are rolled back through
 /// KvBlockPool::RollbackSpeculation and never enter the prefix cache.
+/// k = 0 (the default) is speculation off: plain decode is a verify
+/// group of one row.
 struct SpeculativeConfig {
-  /// Master switch; off (the default) keeps the one-token-per-tick path.
-  bool enable = false;
   /// Draft proposals per sequence per decode tick (k). Clamped so a
-  /// sequence's verify group (1 + k rows) fits max_batch_tokens; 0
-  /// degenerates to the non-speculative path.
-  std::int32_t draft_tokens = 4;
+  /// sequence's verify group (1 + k rows) fits max_batch_tokens; 0 is
+  /// plain one-token-per-tick decode.
+  std::int32_t draft_tokens = 0;
   /// Probability a draft position is accepted, in [0, 1]. 0 rejects
   /// every draft (pure overhead), 1 accepts all k each tick.
   double acceptance_rate = 0.7;

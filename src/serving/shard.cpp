@@ -15,17 +15,13 @@ namespace {
 /// compute tail.
 constexpr double kSharedShareCap = 0.95;
 
-/// Event skeleton for the telemetry trace; instants pass start == end.
-obs::RequestEvent MakeEvent(obs::RequestEventKind kind, std::int64_t stream,
-                            std::int64_t tick, double start_seconds,
-                            double end_seconds) {
-  obs::RequestEvent ev;
-  ev.kind = kind;
-  ev.stream = stream;
-  ev.tick = tick;
-  ev.start_seconds = start_seconds;
-  ev.end_seconds = end_seconds;
-  return ev;
+/// Tokens of `fed` a prefix-cache restore may map. The final fed token
+/// must still be processed for fresh logits, unless a retained pending
+/// token (readmission after preemption) makes the whole prefill a pure
+/// recompute -- then a full restore is legal.
+std::int64_t RestorableTokens(const std::vector<std::int32_t>& fed,
+                              std::int32_t pending_token) {
+  return static_cast<std::int64_t>(fed.size()) - (pending_token >= 0 ? 0 : 1);
 }
 
 }  // namespace
@@ -283,40 +279,34 @@ void ShardScheduler::ScheduleTick(sim::Cycles at) {
 
 // -------------------------------------------------------------- planning
 
-/// Waiting-queue candidates in admission order for this tick. FCFS and
-/// decode-priority only ever look at the head (head-of-line blocking is
-/// part of the policy); shortest-prompt-first may skip over requests that
-/// do not fit, and ages starved requests back to FCFS. With tiers
-/// enabled the policy order is stably re-sorted by tier, so higher tiers
-/// admit first and equal-tier requests keep the policy's order exactly
-/// (a uniform-tier trace is scheduled identically to tiers-off).
-std::vector<std::size_t> ShardScheduler::AdmissionCandidates() const {
-  std::vector<std::size_t> order(waiting_.begin(), waiting_.end());
+/// FCFS and decode-priority only ever look at the head (head-of-line
+/// blocking is part of the policy); shortest-prompt-first may skip over
+/// requests that do not fit, and ages starved requests back to FCFS.
+/// With tiers enabled the policy order is stably re-sorted by tier, so
+/// higher tiers admit first and equal-tier requests keep the policy's
+/// order exactly (a uniform-tier trace is scheduled identically to
+/// tiers-off).
+const std::vector<std::size_t>& ShardScheduler::AdmissionCandidates() {
+  candidates_.assign(waiting_.begin(), waiting_.end());
   if (config_.policy == BatchPolicy::kShortestPromptFirst) {
-    std::vector<std::size_t> aged, fresh;
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const Sequence& s = seqs_[order[pos]];
-      if (tick_index_ - s.wait_since_tick >= config_.starvation_grace_ticks) {
-        aged.push_back(order[pos]);
-      } else {
-        fresh.push_back(order[pos]);
-      }
-    }
-    std::stable_sort(fresh.begin(), fresh.end(),
+    const auto fresh = std::stable_partition(
+        candidates_.begin(), candidates_.end(), [this](std::size_t id) {
+          return tick_index_ - seqs_[id].wait_since_tick >=
+                 config_.starvation_grace_ticks;
+        });
+    std::stable_sort(fresh, candidates_.end(),
                      [this](std::size_t a, std::size_t b) {
                        return seqs_[a].fed.size() < seqs_[b].fed.size();
                      });
-    aged.insert(aged.end(), fresh.begin(), fresh.end());
-    order = std::move(aged);
   }
   if (config_.enable_tiers) {
-    std::stable_sort(order.begin(), order.end(),
+    std::stable_sort(candidates_.begin(), candidates_.end(),
                      [this](std::size_t a, std::size_t b) {
                        return TierIndex(seqs_[a].request->tier) <
                               TierIndex(seqs_[b].request->tier);
                      });
   }
-  return order;
+  return candidates_;
 }
 
 // ------------------------------------------------------------- execution
@@ -334,21 +324,15 @@ bool ShardScheduler::EnsureKvToken(std::size_t seq_id, std::int32_t token) {
     if (st.ok()) {
       // A copy-on-write may have moved one block.
       const std::int64_t moved = ChargeDma("cow", seq_id);
-      if (moved > 0 && telemetry_.tracing()) {
-        const double now_s = u280_.cycles_to_seconds(engine_.now());
-        obs::RequestEvent ev = MakeEvent(
-            obs::RequestEventKind::kCowCopy,
-            static_cast<std::int64_t>(seqs_[seq_id].stream_index),
-            tick_index_, now_s, now_s);
-        ev.bytes = moved;
-        telemetry_.Record(std::move(ev));
+      if (moved > 0) {
+        const double now_s = NowSeconds();
+        Trace(obs::RequestEventKind::kCowCopy,
+              static_cast<std::int64_t>(seqs_[seq_id].stream_index), now_s,
+              now_s, 0, moved);
       }
       return true;
     }
-    if (st.code() != StatusCode::kResourceExhausted) {
-      error_ = st;
-      return false;
-    }
+    if (st.code() != StatusCode::kResourceExhausted) return Check(st);
     kv_blocked_ = true;
     if (!config_.allow_preemption) return false;
     // Victim selection: with tiers enabled the lowest-priority resident
@@ -378,23 +362,20 @@ bool ShardScheduler::EnsureKvToken(std::size_t seq_id, std::int32_t token) {
   }
 }
 
+void ShardScheduler::Evict(std::size_t seq_id, bool preempted) {
+  Check(pool_.Release(seq_id, preempted));
+  ReleaseSlot(seqs_[seq_id]);
+  residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
+}
+
 void ShardScheduler::Preempt(std::size_t victim) {
   Sequence& seq = seqs_[victim];
-  if (telemetry_.tracing()) {
-    const double now_s = u280_.cycles_to_seconds(engine_.now());
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kPreempt,
-        static_cast<std::int64_t>(seq.stream_index), tick_index_, now_s,
-        now_s);
-    ev.tokens = seq.cursor;  // fed work dropped, owed again as recompute
-    telemetry_.Record(std::move(ev));
-  }
-  Status st = pool_.Release(victim, /*preempted=*/true);
-  assert(st.ok());
-  (void)st;
+  const double now_s = NowSeconds();
+  Trace(obs::RequestEventKind::kPreempt,
+        static_cast<std::int64_t>(seq.stream_index), now_s, now_s,
+        seq.cursor);  // fed work dropped, owed again as recompute
+  Evict(victim, /*preempted=*/true);
   ChargeDma("swap-out", victim);  // the victim's private blocks write back
-  ReleaseSlot(seq);
-  residents_.erase(std::find(residents_.begin(), residents_.end(), victim));
   seq.state = SeqState::kWaiting;
   // Fed work is owed again (recompute).
   AddOutstanding(seq.request->tier, seq.cursor);
@@ -408,28 +389,15 @@ void ShardScheduler::Preempt(std::size_t victim) {
 
 std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   Sequence& seq = seqs_[seq_id];
-  // The final fed token must still be processed for fresh logits, unless
-  // a retained pending token (readmission after preemption) makes the
-  // whole prefill a pure recompute -- then a full restore is legal.
-  const std::int64_t cap = static_cast<std::int64_t>(seq.fed.size()) -
-                           (seq.pending_token >= 0 ? 0 : 1);
-  auto match_or = pool_.AcquireCachedPrefix(seq_id, seq.fed, cap);
-  if (!match_or.ok()) {
-    error_ = match_or.status();
-    return -1;
-  }
+  auto match_or = pool_.AcquireCachedPrefix(
+      seq_id, seq.fed, RestorableTokens(seq.fed, seq.pending_token));
+  if (!Check(match_or.status())) return -1;
   const std::int64_t restored = match_or->matched_tokens;
   ChargeDma("restore", seq_id);  // the restore reads blocks through HBM
   if (restored == 0) return 0;
-  if (telemetry_.tracing()) {
-    const double now_s = u280_.cycles_to_seconds(engine_.now());
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kCacheHit,
-        static_cast<std::int64_t>(seq.stream_index), tick_index_, now_s,
-        now_s);
-    ev.tokens = restored;
-    telemetry_.Record(std::move(ev));
-  }
+  const double now_s = NowSeconds();
+  Trace(obs::RequestEventKind::kCacheHit,
+        static_cast<std::int64_t>(seq.stream_index), now_s, now_s, restored);
   // Rebuild the slot executor's functional KV for the cached prefix. On
   // the device those entries are already resident in HBM, so no forward
   // compute or weight traffic is owed for them -- only the restore DMA
@@ -438,10 +406,7 @@ std::int64_t ShardScheduler::RestoreCachedPrefix(std::size_t seq_id) {
   for (std::int64_t p = 0; p < restored; ++p) {
     auto logits = exec.Forward(seq.fed[static_cast<std::size_t>(p)],
                                static_cast<std::int32_t>(p));
-    if (!logits.ok()) {
-      error_ = logits.status();
-      return -1;
-    }
+    if (!Check(logits.status())) return -1;
   }
   seq.cursor = static_cast<std::int32_t>(restored);
   seq.high_water = std::max(seq.high_water, seq.cursor);
@@ -467,11 +432,7 @@ void ShardScheduler::ExtractHandoff(std::size_t seq_id, sim::Cycles ready) {
   // Release local references; sealed full blocks stay in this card's
   // prefix cache (the directory keeps advertising them), and the
   // interconnect's source-read leg pays for extracting the pages.
-  Status st = pool_.Release(seq_id);
-  assert(st.ok());
-  (void)st;
-  ReleaseSlot(seq);
-  residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
+  Evict(seq_id, /*preempted=*/false);
   seq.state = SeqState::kHandedOff;
   seq.pending_token = -1;
   // The decode budget is owed by the destination now.
@@ -513,24 +474,25 @@ void ShardScheduler::AdoptHandoff(KvHandoff handoff) {
 }
 
 bool ShardScheduler::ReplayAdoptedKv(std::size_t seq_id) {
+  Sequence& seq = seqs_[seq_id];
+  seq.adopt_pending = false;
+  queued_demand_blocks_ -= BlocksForRequest(*seq.request);
   // Blocks this card already caches (a shared prefix) map as shared --
   // the same restore path a local cache hit takes -- and the rest append
   // fresh. All forward replay is zero simulated compute: the shipped
   // pages are already in HBM, paid for by the interconnect transfer.
   if (RestoreCachedPrefix(seq_id) < 0) return false;
-  Sequence& seq = seqs_[seq_id];
   accel::Executor& exec = *slots_[static_cast<std::size_t>(seq.slot)];
   while (seq.cursor < static_cast<std::int32_t>(seq.fed.size())) {
     const std::int32_t token = seq.fed[static_cast<std::size_t>(seq.cursor)];
-    if (!EnsureKvToken(seq_id, token)) return false;
-    auto logits = exec.Forward(token, seq.cursor);
-    if (!logits.ok()) {
-      error_ = logits.status();
-      return false;
-    }
+    if (!EnsureKvToken(seq_id, token)) break;
+    if (!Check(exec.Forward(token, seq.cursor).status())) return false;
     ++seq.cursor;
     AddOutstanding(seq.request->tier, -1);
   }
+  plan_.restored += seq.cursor;
+  if (!error_.ok()) return false;
+  if (seq.remaining_prefill() == 0) seq.state = SeqState::kDecode;
   return true;
 }
 
@@ -552,22 +514,16 @@ void ShardScheduler::ReleaseSlot(Sequence& seq) {
   seq.slot = -1;
 }
 
-/// Runs one forward through the sequence's slot executor and folds its
-/// simulated cost into the tick. Returns false on a hard error.
-bool ShardScheduler::ForwardToken(Sequence& seq, std::int32_t token,
-                                  std::int32_t pos,
-                                  std::span<const float>* logits) {
+std::optional<double> ShardScheduler::ForwardToken(
+    Sequence& seq, std::int32_t token, std::int32_t pos,
+    std::span<const float>* logits) {
   accel::Executor& exec = *slots_[static_cast<std::size_t>(seq.slot)];
   auto logits_or = exec.Forward(token, pos);
-  if (!logits_or.ok()) {
-    error_ = logits_or.status();
-    return false;
-  }
-  const double f = exec.last_stats().seconds;
-  last_forward_seconds_ = f;
-  tick_cost_.AddProblem(f);
-  if (logits != nullptr) *logits = *logits_or;
-  return true;
+  if (!Check(logits_or.status())) return std::nullopt;
+  const double seconds = exec.last_stats().seconds;
+  tick_cost_.AddProblem(seconds);
+  *logits = *logits_or;
+  return seconds;
 }
 
 namespace {
@@ -623,12 +579,7 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
   // byte-identically, so draft content never leaks refcounts or cache
   // entries. A dry pool just cuts the draft short -- drafts never
   // preempt anyone.
-  Status st = pool_.BeginSpeculation(seq_id);
-  assert(st.ok());
-  if (!st.ok()) {
-    error_ = st;
-    return 0;
-  }
+  if (!Check(pool_.BeginSpeculation(seq_id))) return 0;
   const std::int64_t base_pos = static_cast<std::int64_t>(seq.fed.size()) + 1;
   for (std::int32_t j = 0; j < k; ++j) {
     // The draft model's guess: an arbitrary deterministic pseudo-token.
@@ -638,28 +589,22 @@ std::int32_t ShardScheduler::DraftAndAccept(std::size_t seq_id,
         SpecMix(spec.acceptance_seed ^
                 static_cast<std::uint64_t>(base_pos + j) * 0x100000001b3ull) %
         static_cast<std::uint64_t>(program_.model.vocab_size));
-    Status ap = pool_.Append(seq_id, guess);
+    const Status ap = pool_.Append(seq_id, guess);
     if (!ap.ok()) {
-      if (ap.code() == StatusCode::kResourceExhausted) break;
-      error_ = ap;
+      if (ap.code() != StatusCode::kResourceExhausted) Check(ap);
       break;
     }
     ++*drafted;
   }
   ChargeDma("spec-draft", seq_id);
-  st = pool_.RollbackSpeculation(seq_id);
-  assert(st.ok());
-  if (!st.ok()) error_ = st;
+  Check(pool_.RollbackSpeculation(seq_id));
   if (!error_.ok()) return 0;
   report_.spec_draft_tokens += *drafted;
-  if (telemetry_.tracing() && *drafted > 0) {
-    const double now_s = u280_.cycles_to_seconds(engine_.now());
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kDraftPropose,
-        static_cast<std::int64_t>(seq.stream_index), tick_index_, now_s,
-        now_s);
-    ev.tokens = *drafted;
-    telemetry_.Record(std::move(ev));
+  if (*drafted > 0) {
+    const double now_s = NowSeconds();
+    Trace(obs::RequestEventKind::kDraftPropose,
+          static_cast<std::int64_t>(seq.stream_index), now_s, now_s,
+          *drafted);
   }
   std::int32_t accepted = 0;
   for (std::int32_t j = 0; j < *drafted; ++j) {
@@ -675,7 +620,7 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
   dma_bytes_seen_ = pool_.stats().dma_bytes_moved;
   if (moved <= 0) return 0;
   double seconds = 0.0;
-  double base_s = u280_.cycles_to_seconds(engine_.now());
+  double base_s = NowSeconds();
   if (config_.charge_dma_cost) {
     // The move queues on this card's shared HBM DMA stations, so it
     // serializes honestly behind concurrent traffic (earlier moves this
@@ -692,15 +637,9 @@ std::int64_t ShardScheduler::ChargeDma(const char* cause,
     tick_cost_.AddSerialSeconds(seconds);
     report_.dma_time_seconds += seconds;
   }
-  if (telemetry_.tracing()) {
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kDmaTransfer,
-        static_cast<std::int64_t>(seqs_[seq_id].stream_index), tick_index_,
-        base_s, base_s + seconds);
-    ev.bytes = moved;
-    ev.detail = cause;
-    telemetry_.Record(std::move(ev));
-  }
+  Trace(obs::RequestEventKind::kDmaTransfer,
+        static_cast<std::int64_t>(seqs_[seq_id].stream_index), base_s,
+        base_s + seconds, 0, moved, cause);
   return moved;
 }
 
@@ -758,11 +697,7 @@ void ShardScheduler::FinishSequence(std::size_t seq_id, FinishReason reason) {
     report_.stop_saved_tokens += saved;
     ++report_.stopped_requests;
   }
-  Status st = pool_.Release(seq_id);
-  assert(st.ok());
-  (void)st;
-  ReleaseSlot(seq);
-  residents_.erase(std::find(residents_.begin(), residents_.end(), seq_id));
+  Evict(seq_id, /*preempted=*/false);
   tick_emissions_.push_back(Emission{seq_id, -1, reason});
 }
 
@@ -818,12 +753,7 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
         queued_demand_blocks_ -= BlocksForRequest(*seq.request);
       }
     } else {
-      Status st = pool_.Release(seq_id);
-      assert(st.ok());
-      (void)st;
-      ReleaseSlot(seq);
-      residents_.erase(
-          std::find(residents_.begin(), residents_.end(), seq_id));
+      Evict(seq_id, /*preempted=*/false);
     }
   }
 
@@ -838,7 +768,7 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
                            pending_emissions_.end());
   seq.outcome.generated.resize(static_cast<std::size_t>(seq.delivered));
 
-  const double now_s = u280_.cycles_to_seconds(engine_.now());
+  const double now_s = NowSeconds();
   seq.state = SeqState::kCancelled;
   seq.pending_token = -1;
   seq.outcome.finish_reason = FinishReason::kCancelled;
@@ -848,13 +778,8 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
   }
   if (!seq.ever_admitted) seq.outcome.admission_seconds = now_s;
   ++report_.cancelled_requests;
-  if (telemetry_.tracing()) {
-    obs::RequestEvent ev = MakeEvent(
-        obs::RequestEventKind::kCancel,
-        static_cast<std::int64_t>(stream_index), tick_index_, now_s, now_s);
-    ev.tokens = seq.delivered;
-    telemetry_.Record(std::move(ev));
-  }
+  Trace(obs::RequestEventKind::kCancel,
+        static_cast<std::int64_t>(stream_index), now_s, now_s, seq.delivered);
   if (on_finish_) {
     // Copy: the hook may reentrantly Submit and grow seqs_.
     const RequestOutcome outcome = seq.outcome;
@@ -867,7 +792,7 @@ void ShardScheduler::DeliverEmissions() {
   // Pop one entry at a time: a hook may Abort another stream (scrubbing
   // its not-yet-delivered entries out from under us) or Submit (growing
   // seqs_, so no Sequence reference may be held across a hook call).
-  const double t = u280_.cycles_to_seconds(engine_.now());
+  const double t = NowSeconds();
   while (!pending_emissions_.empty()) {
     const Emission e = pending_emissions_.front();
     pending_emissions_.pop_front();
@@ -881,14 +806,9 @@ void ShardScheduler::DeliverEmissions() {
       // here so exactly one terminal event exists per stream (a cancel
       // that won the race scrubbed this emission and recorded kCancel).
       const RequestOutcome& oc = seqs_[e.seq_id].outcome;
-      if (telemetry_.tracing()) {
-        obs::RequestEvent ev =
-            MakeEvent(obs::RequestEventKind::kFinish,
-                      static_cast<std::int64_t>(stream), tick_index_, t, t);
-        ev.tokens = static_cast<std::int64_t>(oc.generated.size());
-        ev.detail = FinishReasonName(e.finish);
-        telemetry_.Record(std::move(ev));
-      }
+      Trace(obs::RequestEventKind::kFinish, static_cast<std::int64_t>(stream),
+            t, t, static_cast<std::int64_t>(oc.generated.size()), 0,
+            FinishReasonName(e.finish));
       if (telemetry_.metrics()) {
         const std::int64_t n =
             static_cast<std::int64_t>(oc.generated.size());
@@ -911,334 +831,311 @@ void ShardScheduler::RunTick() {
   if (!error_.ok()) return;
   ++tick_index_;
   kv_blocked_ = false;
-  const double start_s = u280_.cycles_to_seconds(engine_.now());
   tick_cost_.BeginGroup();
+  if (!PlanTick()) return;
 
-  // ---- plan: decode set first, in admission order (rotating only when
-  // the token budget cannot cover every decoding sequence). With tiers
-  // enabled a scarce budget funds tiers in priority order: every fully
-  // funded tier decodes whole, and the rotation fairness applies only
-  // within the first tier the budget cannot cover. A uniform-tier batch
-  // is one group, so the plan is identical to tiers-off.
-  //
-  // With speculation on, a decode sequence's verify group is 1 + k rows
-  // (the pending token plus k drafts), so each planned sequence draws
-  // `spec_width` budget units; spec off is width 1, reproducing the
-  // historical plan exactly.
-  const bool spec_on =
-      config_.speculative.enable && config_.speculative.draft_tokens > 0;
-  const std::int32_t spec_width =
-      spec_on ? 1 + config_.speculative.draft_tokens : 1;
-  std::int32_t budget = config_.max_batch_tokens;
-  std::vector<std::size_t> decode_plan;
-  {
-    std::vector<std::size_t> decoding;
-    for (std::size_t r : residents_) {
-      if (seqs_[r].state == SeqState::kDecode) decoding.push_back(r);
-    }
-    if (config_.enable_tiers &&
-        static_cast<std::int64_t>(decoding.size()) * spec_width > budget) {
-      std::stable_sort(decoding.begin(), decoding.end(),
-                       [this](std::size_t a, std::size_t b) {
-                         return TierIndex(seqs_[a].request->tier) <
-                                TierIndex(seqs_[b].request->tier);
-                       });
-      std::size_t tier_begin = 0;
-      while (tier_begin < decoding.size() && budget > 0) {
-        std::size_t tier_end = tier_begin + 1;
-        while (tier_end < decoding.size() &&
-               seqs_[decoding[tier_end]].request->tier ==
-                   seqs_[decoding[tier_begin]].request->tier) {
-          ++tier_end;
-        }
-        const std::size_t n = tier_end - tier_begin;
-        if (static_cast<std::int64_t>(n) * spec_width <= budget) {
-          for (std::size_t k = tier_begin; k < tier_end; ++k) {
-            decode_plan.push_back(decoding[k]);
-          }
-          budget -= static_cast<std::int32_t>(n) * spec_width;
-        } else {
-          const std::size_t slots = static_cast<std::size_t>(budget / spec_width);
-          const std::size_t start = rr_offset_ % n;
-          for (std::size_t k = 0; k < slots; ++k) {
-            decode_plan.push_back(decoding[tier_begin + (start + k) % n]);
-          }
-          rr_offset_ += slots;
-          budget -= static_cast<std::int32_t>(slots) * spec_width;
-          break;
-        }
-        tier_begin = tier_end;
-      }
-    } else if (static_cast<std::int64_t>(decoding.size()) * spec_width <=
-               budget) {
-      decode_plan = decoding;
-      budget -= static_cast<std::int32_t>(decode_plan.size()) * spec_width;
-    } else {
-      const std::size_t n = decoding.size();
-      const std::size_t slots = static_cast<std::size_t>(budget / spec_width);
-      const std::size_t start = rr_offset_ % n;
-      for (std::size_t k = 0; k < slots; ++k) {
-        decode_plan.push_back(decoding[(start + k) % n]);
-      }
-      rr_offset_ += slots;
-      budget -= static_cast<std::int32_t>(slots) * spec_width;
-    }
+  work_.committed.clear();
+  work_.ttft.clear();
+  work_.decode_rows.clear();
+  work_.prefill.clear();
+  work_.prefill_tokens = 0;
+  work_.handoff_ready.clear();
+  work_.spec_draft_at_open = report_.spec_draft_tokens;
+  work_.spec_accept_at_open = report_.spec_accepted_tokens;
+  for (std::size_t seq_id : plan_.decode) {
+    if (!DecodeOne(seq_id)) return;
   }
+  for (const auto& [seq_id, chunk] : plan_.prefill) {
+    if (!PrefillChunk(seq_id, chunk)) return;
+  }
+  CloseTick();
+}
 
-  // ---- plan: prefill chunks -- resident partial prefills continue
-  // first, then new admissions per policy.
+bool ShardScheduler::PlanTick() {
+  plan_.start_s = NowSeconds();
+  plan_.prefill.clear();
+  plan_.restored = 0;
+  const std::int32_t budget = FundDecode(config_.max_batch_tokens);
+  // Prefill chunks: resident partial prefills continue first, then new
+  // admissions per policy.
   std::int32_t prefill_budget =
       config_.policy == BatchPolicy::kDecodePriority
           ? std::min(budget, config_.prefill_chunk_tokens)
           : budget;
-  std::vector<std::pair<std::size_t, std::int32_t>> prefill_plan;
   for (std::size_t r : residents_) {
     if (prefill_budget <= 0) break;
-    Sequence& seq = seqs_[r];
+    const Sequence& seq = seqs_[r];
     if (seq.state != SeqState::kPrefill) continue;
     const std::int32_t chunk =
         std::min(seq.remaining_prefill(), prefill_budget);
     if (chunk > 0) {
-      prefill_plan.emplace_back(r, chunk);
+      plan_.prefill.emplace_back(r, chunk);
       prefill_budget -= chunk;
     }
   }
-  std::int64_t restored_this_tick = 0;
-  if (prefill_budget > 0) {
-    // Admissions within one tick reserve against each other: a block the
-    // first admission will consume is not offered to the second.
-    std::int64_t planned_blocks = 0;
-    for (std::size_t cand : AdmissionCandidates()) {
-      if (prefill_budget <= 0) break;
-      if (static_cast<std::int32_t>(residents_.size()) >=
-          config_.max_batch_seqs) {
-        break;
-      }
-      Sequence& seq = seqs_[cand];
-      const std::int64_t need = static_cast<std::int64_t>(seq.fed.size()) + 1;
-      // Cached blocks already held by a live resident cost no free
-      // capacity to map, so prefix-heavy workloads admit more residents
-      // than the raw block count suggests (the residency win). A match
-      // that ends mid-block is the exception: the write into that
-      // shared tail must copy it, so one block stays reserved for the
-      // copy-on-write.
-      const std::int64_t cache_cap =
-          static_cast<std::int64_t>(seq.fed.size()) -
-          (seq.pending_token >= 0 ? 0 : 1);
-      const PrefixMatch match = pool_.MatchCachedPrefix(seq.fed, cache_cap);
-      std::int64_t discount = match.live_shared_blocks;
-      if (discount > 0 &&
-          match.matched_tokens %
-                  static_cast<std::int64_t>(config_.block_size_tokens) !=
-              0) {
-        --discount;
-      }
-      const std::int64_t need_blocks = pool_.BlocksForTokens(need) - discount;
-      if (need_blocks + planned_blocks > pool_.free_blocks()) {
-        kv_blocked_ = true;
-        // Head-of-line blocking for FCFS-family policies; SPF (which
-        // reorders anyway) may skip past an oversized head.
-        if (config_.policy != BatchPolicy::kShortestPromptFirst) break;
-        continue;
-      }
-      planned_blocks += need_blocks;
-      Status st = pool_.Register(cand);
-      assert(st.ok());
-      (void)st;
-      waiting_.erase(std::find(waiting_.begin(), waiting_.end(), cand));
-      seq.slot = AcquireSlot();
-      seq.state = SeqState::kPrefill;
-      seq.admission_order = next_admission_++;
-      residents_.push_back(cand);
-      if (!seq.ever_admitted) {
-        seq.ever_admitted = true;
-        seq.outcome.admission_seconds = start_s;
-        // No longer queued demand: its blocks now come out of the pool.
-        queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-        if (telemetry_.tracing()) {
-          telemetry_.Record(MakeEvent(
-              obs::RequestEventKind::kQueueWait,
-              static_cast<std::int64_t>(seq.stream_index), tick_index_,
-              seq.outcome.arrival_seconds, start_s));
-        }
-      }
-      if (seq.adopt_pending) {
-        // First local admission of an adopted handoff: map the shipped
-        // KV at zero forward cost and join the decode set next tick.
-        seq.adopt_pending = false;
-        queued_demand_blocks_ -= BlocksForRequest(*seq.request);
-        const bool replayed = ReplayAdoptedKv(cand);
-        if (!error_.ok()) return;
-        restored_this_tick += seq.cursor;
-        if (!replayed) continue;  // pool dry mid-replay: the tail
-                                  // recomputes as ordinary prefill later
-        seq.state = SeqState::kDecode;
-        continue;
-      }
-      const std::int64_t restored = RestoreCachedPrefix(cand);
-      if (restored < 0) return;
-      restored_this_tick += restored;
-      if (seq.remaining_prefill() == 0) {
-        // Full cache restore (a readmission whose every fed token was
-        // still cached): nothing left to prefill, so it joins the decode
-        // set next tick and consumes no prefill budget now.
-        seq.state = SeqState::kDecode;
-        continue;
-      }
-      const std::int32_t chunk =
-          std::min(seq.remaining_prefill(), prefill_budget);
-      prefill_plan.emplace_back(cand, chunk);
-      prefill_budget -= chunk;
+  return prefill_budget <= 0 || AdmitWaiting(prefill_budget);
+}
+
+std::int32_t ShardScheduler::FundDecode(std::int32_t budget) {
+  plan_.decode.clear();
+  decoding_.clear();
+  for (std::size_t r : residents_) {
+    if (seqs_[r].state == SeqState::kDecode) decoding_.push_back(r);
+  }
+  const std::int32_t width = 1 + config_.speculative.draft_tokens;
+  // Decode runs in admission order. Only a short budget sorts by tier,
+  // so a budget that covers everyone never reorders the batch.
+  const bool by_tier =
+      config_.enable_tiers &&
+      static_cast<std::int64_t>(decoding_.size()) * width > budget;
+  if (by_tier) {
+    std::stable_sort(decoding_.begin(), decoding_.end(),
+                     [this](std::size_t a, std::size_t b) {
+                       return TierIndex(seqs_[a].request->tier) <
+                              TierIndex(seqs_[b].request->tier);
+                     });
+  }
+  const auto tier_of = [this](std::size_t id) {
+    return seqs_[id].request->tier;
+  };
+  std::size_t begin = 0;
+  while (begin < decoding_.size() && budget > 0) {
+    std::size_t end = by_tier ? begin + 1 : decoding_.size();
+    while (end < decoding_.size() &&
+           tier_of(decoding_[end]) == tier_of(decoding_[begin])) {
+      ++end;
+    }
+    const std::size_t n = end - begin;
+    if (static_cast<std::int64_t>(n) * width <= budget) {
+      plan_.decode.insert(plan_.decode.end(), decoding_.begin() + begin,
+                          decoding_.begin() + end);
+      budget -= static_cast<std::int32_t>(n) * width;
+      begin = end;
+      continue;
+    }
+    // The first group the budget cannot cover: a window rotates over it.
+    const std::size_t slots = static_cast<std::size_t>(budget / width);
+    const std::size_t start = rr_offset_ % n;
+    for (std::size_t k = 0; k < slots; ++k) {
+      plan_.decode.push_back(decoding_[begin + (start + k) % n]);
+    }
+    rr_offset_ += slots;
+    budget -= static_cast<std::int32_t>(slots) * width;
+    break;
+  }
+  return budget;
+}
+
+bool ShardScheduler::AdmitWaiting(std::int32_t prefill_budget) {
+  // Admissions within one tick reserve against each other: a block the
+  // first admission will consume is not offered to the second.
+  std::int64_t planned_blocks = 0;
+  for (std::size_t cand : AdmissionCandidates()) {
+    if (prefill_budget <= 0 ||
+        static_cast<std::int32_t>(residents_.size()) >=
+            config_.max_batch_seqs) {
+      break;
+    }
+    Sequence& seq = seqs_[cand];
+    const std::int64_t need_blocks = AdmissionBlocks(seq);
+    if (need_blocks + planned_blocks > pool_.free_blocks()) {
+      kv_blocked_ = true;
+      // Head-of-line blocking for FCFS-family policies; SPF (which
+      // reorders anyway) may skip past an oversized head.
+      if (config_.policy != BatchPolicy::kShortestPromptFirst) break;
+      continue;
+    }
+    planned_blocks += need_blocks;
+    if (!Admit(cand)) return false;
+    if (seq.adopt_pending) {
+      if (!ReplayAdoptedKv(cand)) return false;
+      continue;
+    }
+    const std::int64_t restored = RestoreCachedPrefix(cand);
+    if (restored < 0) return false;
+    plan_.restored += restored;
+    if (seq.remaining_prefill() == 0) {
+      // Full cache restore (a readmission whose every fed token was
+      // still cached): nothing left to prefill, so it joins the decode
+      // set next tick and consumes no prefill budget now.
+      seq.state = SeqState::kDecode;
+      continue;
+    }
+    const std::int32_t chunk =
+        std::min(seq.remaining_prefill(), prefill_budget);
+    plan_.prefill.emplace_back(cand, chunk);
+    prefill_budget -= chunk;
+  }
+  return true;
+}
+
+std::int64_t ShardScheduler::AdmissionBlocks(const Sequence& seq) const {
+  // Cached blocks already held by a live resident cost no free capacity
+  // to map, so prefix-heavy workloads admit more residents than the raw
+  // block count suggests (the residency win). A match that ends
+  // mid-block is the exception: the write into that shared tail must
+  // copy it, so one block stays reserved for the copy-on-write.
+  const PrefixMatch match = pool_.MatchCachedPrefix(
+      seq.fed, RestorableTokens(seq.fed, seq.pending_token));
+  std::int64_t discount = match.live_shared_blocks;
+  if (discount > 0 &&
+      match.matched_tokens %
+              static_cast<std::int64_t>(config_.block_size_tokens) !=
+          0) {
+    --discount;
+  }
+  return pool_.BlocksForTokens(static_cast<std::int64_t>(seq.fed.size()) +
+                               1) -
+         discount;
+}
+
+bool ShardScheduler::Admit(std::size_t seq_id) {
+  if (!Check(pool_.Register(seq_id))) return false;
+  Sequence& seq = seqs_[seq_id];
+  waiting_.erase(std::find(waiting_.begin(), waiting_.end(), seq_id));
+  seq.slot = AcquireSlot();
+  seq.state = SeqState::kPrefill;
+  seq.admission_order = next_admission_++;
+  residents_.push_back(seq_id);
+  if (!seq.ever_admitted) {
+    seq.ever_admitted = true;
+    seq.outcome.admission_seconds = plan_.start_s;
+    // No longer queued demand: its blocks now come out of the pool.
+    queued_demand_blocks_ -= BlocksForRequest(*seq.request);
+    Trace(obs::RequestEventKind::kQueueWait,
+          static_cast<std::int64_t>(seq.stream_index),
+          seq.outcome.arrival_seconds, plan_.start_s);
+  }
+  return true;
+}
+
+bool ShardScheduler::DecodeOne(std::size_t seq_id) {
+  Sequence& seq = seqs_[seq_id];
+  if (seq.state != SeqState::kDecode) return true;  // preempted mid-tick
+  // Deferred to a later tick when the pending token's KV does not fit.
+  if (!EnsureKvToken(seq_id, seq.pending_token)) return error_.ok();
+  // Draft phase: propose k tokens, roll their KV back, and let the
+  // deterministic acceptance model decide how long a run this tick's
+  // verify group commits (k = 0 is plain decode: one row). Committed
+  // tokens are always the target model's own sampled tokens --
+  // speculation collapses latency, never changes stream content.
+  std::int32_t drafted = 0;
+  const std::int32_t accepted = DraftAndAccept(seq_id, &drafted);
+  if (!error_.ok()) return false;
+  std::int32_t commits = 0;
+  double row_seconds = 0.0;  // the newest committed row's cost
+  for (std::int32_t step = 0; step <= accepted; ++step) {
+    if (step > 0 && !EnsureKvToken(seq_id, seq.pending_token)) {
+      if (!error_.ok()) return false;
+      break;  // pool dry mid-verify: the rest commits on a later tick
+    }
+    std::span<const float> logits;
+    const std::optional<double> cost = ForwardToken(
+        seq, seq.pending_token, static_cast<std::int32_t>(seq.fed.size()),
+        &logits);
+    if (!cost) return false;
+    row_seconds = *cost;
+    seq.fed.push_back(seq.pending_token);
+    seq.cursor = static_cast<std::int32_t>(seq.fed.size());
+    seq.high_water = std::max(seq.high_water, seq.cursor);
+    seq.outcome.generated.push_back(seq.pending_token);
+    tick_emissions_.push_back(
+        Emission{seq_id, seq.pending_token, FinishReason::kNone});
+    AddOutstanding(seq.request->tier, -1);  // one less decode token owed
+    ++report_.total_tokens;
+    work_.decode_rows.push_back(seq_id);
+    ++commits;
+    if (step > 0) ++report_.spec_accepted_tokens;
+    if (!seq.budget_left()) {
+      FinishSequence(seq_id, FinishReason::kLength);
+      break;
+    }
+    SampleNext(seq, logits);
+    if (ShouldStop(seq)) {
+      FinishSequence(seq_id, FinishReason::kStop);
+      break;
     }
   }
-
-  // ---- execute. Commit timestamps are applied once the tick length is
-  // known; completions release capacity immediately so later chunks in
-  // the same tick may use it.
-  std::vector<std::size_t> decode_committed;
-  std::vector<std::size_t> ttft_marks;
-  std::vector<std::size_t> decode_executed;
-  std::vector<std::pair<std::size_t, std::int32_t>> prefill_executed;
-  std::vector<std::size_t> handoff_ready;
-
-  const std::int64_t spec_draft_at_open = report_.spec_draft_tokens;
-  const std::int64_t spec_accept_at_open = report_.spec_accepted_tokens;
-  for (std::size_t seq_id : decode_plan) {
-    Sequence& seq = seqs_[seq_id];
-    if (seq.state != SeqState::kDecode) continue;  // preempted mid-tick
-    if (!EnsureKvToken(seq_id, seq.pending_token)) {
-      if (!error_.ok()) return;
-      continue;  // deferred to a later tick
+  if (commits > 0) work_.committed.push_back(seq_id);
+  if (drafted > 0) {
+    // The verify group launched 1 + drafted rows; rows past the
+    // committed run are wasted work the packed launch still priced
+    // (each at the last committed row's cost), and the draft model's
+    // own k rows ride along at the configured cost ratio.
+    const std::int32_t wasted = 1 + drafted - commits;
+    for (std::int32_t w = 0; w < wasted; ++w) {
+      tick_cost_.AddProblem(row_seconds);
     }
-    // Draft phase: propose k tokens, roll their KV back, and let the
-    // deterministic acceptance model decide how long a run this tick's
-    // verify group commits. Committed tokens are always the target
-    // model's own sampled tokens -- speculation collapses latency, never
-    // changes stream content -- so spec on/off streams are identical.
-    std::int32_t drafted = 0;
-    const std::int32_t accepted =
-        spec_on ? DraftAndAccept(seq_id, &drafted) : 0;
-    if (!error_.ok()) return;
-    const std::int32_t planned_commits = 1 + accepted;
-    std::int32_t commits = 0;
-    for (std::int32_t step = 0; step < planned_commits; ++step) {
-      if (step > 0 && !EnsureKvToken(seq_id, seq.pending_token)) {
-        if (!error_.ok()) return;
-        break;  // pool dry mid-verify: the rest commits on a later tick
-      }
-      const std::int32_t pos = static_cast<std::int32_t>(seq.fed.size());
-      std::span<const float> logits;
-      if (!ForwardToken(seq, seq.pending_token, pos, &logits)) return;
-      seq.fed.push_back(seq.pending_token);
-      seq.cursor = static_cast<std::int32_t>(seq.fed.size());
-      seq.high_water = std::max(seq.high_water, seq.cursor);
-      seq.outcome.generated.push_back(seq.pending_token);
-      tick_emissions_.push_back(
-          Emission{seq_id, seq.pending_token, FinishReason::kNone});
-      AddOutstanding(seq.request->tier, -1);  // one less decode token owed
+    tick_cost_.AddDraftRows(drafted, row_seconds,
+                            config_.speculative.draft_cost_ratio);
+    report_.spec_wasted_tokens += wasted;
+    // Accepted drafts actually committed.
+    Trace(obs::RequestEventKind::kVerifyAccept,
+          static_cast<std::int64_t>(seq.stream_index), plan_.start_s,
+          plan_.start_s, commits - 1);
+  }
+  return error_.ok();
+}
+
+bool ShardScheduler::PrefillChunk(std::size_t seq_id, std::int32_t chunk) {
+  Sequence& seq = seqs_[seq_id];
+  if (seq.state != SeqState::kPrefill) return true;  // preempted mid-tick
+  std::int32_t done = 0;
+  for (std::int32_t k = 0; k < chunk; ++k) {
+    const std::int32_t pos = seq.cursor;
+    const std::int32_t token = seq.fed[static_cast<std::size_t>(pos)];
+    if (!EnsureKvToken(seq_id, token)) {
+      if (!error_.ok()) return false;
+      break;  // pool dry with no victims: resume next tick
+    }
+    std::span<const float> logits;
+    if (!ForwardToken(seq, token, pos, &logits)) return false;
+    ++seq.cursor;
+    AddOutstanding(seq.request->tier, -1);  // one less prefill token owed
+    if (seq.cursor <= seq.high_water) {
+      ++report_.recomputed_tokens;  // swap-in recompute pass
+    } else {
+      seq.high_water = seq.cursor;
       ++report_.total_tokens;
-      decode_executed.push_back(seq_id);
-      ++commits;
-      if (step > 0) ++report_.spec_accepted_tokens;
-      if (!seq.budget_left()) {
-        FinishSequence(seq_id, FinishReason::kLength);
-        break;
-      }
+    }
+    ++done;
+    if (seq.remaining_prefill() > 0) continue;
+    if (seq.pending_token < 0) {
+      // Original prefill complete: the first decoded token is sampled
+      // from these logits and committed next tick.
       SampleNext(seq, logits);
+      if (seq.outcome.first_token_seconds == 0.0) {
+        work_.ttft.push_back(seq_id);
+      }
       if (ShouldStop(seq)) {
+        // The very first sampled token is EOS/stop: finish with an
+        // empty generation, never entering decode.
         FinishSequence(seq_id, FinishReason::kStop);
         break;
       }
     }
-    if (commits > 0) decode_committed.push_back(seq_id);
-    if (drafted > 0) {
-      // The verify group launched 1 + drafted rows; rows past the
-      // committed run are wasted work the packed launch still priced
-      // (each at the last committed row's cost), and the draft model's
-      // own k rows ride along at the configured cost ratio.
-      const std::int32_t wasted = 1 + drafted - commits;
-      for (std::int32_t w = 0; w < wasted; ++w) {
-        tick_cost_.AddProblem(last_forward_seconds_);
-      }
-      tick_cost_.AddDraftRows(drafted, last_forward_seconds_,
-                              config_.speculative.draft_cost_ratio);
-      report_.spec_wasted_tokens += wasted;
-      if (telemetry_.tracing()) {
-        obs::RequestEvent ev = MakeEvent(
-            obs::RequestEventKind::kVerifyAccept,
-            static_cast<std::int64_t>(seq.stream_index), tick_index_,
-            start_s, start_s);
-        ev.tokens = commits - 1;  // accepted drafts actually committed
-        telemetry_.Record(std::move(ev));
-      }
+    seq.state = SeqState::kDecode;
+    if (config_.role == ShardRole::kPrefill && handoff_hook_) {
+      // Prefill-role shard: ship the finished KV to a decode shard at
+      // tick close (after TTFT is stamped). A mid-tick preemption
+      // revokes the plan -- the KV is gone, so it recomputes and hands
+      // off on a later tick.
+      work_.handoff_ready.push_back(seq_id);
     }
+    break;
   }
-
-  for (auto [seq_id, chunk] : prefill_plan) {
-    Sequence& seq = seqs_[seq_id];
-    if (seq.state != SeqState::kPrefill) continue;  // preempted mid-tick
-    std::int32_t done = 0;
-    for (std::int32_t k = 0; k < chunk; ++k) {
-      if (!EnsureKvToken(seq_id,
-                         seq.fed[static_cast<std::size_t>(seq.cursor)])) {
-        if (!error_.ok()) return;
-        break;  // pool dry with no victims: resume next tick
-      }
-      const std::int32_t pos = seq.cursor;
-      std::span<const float> logits;
-      if (!ForwardToken(seq, seq.fed[static_cast<std::size_t>(pos)], pos,
-                        &logits)) {
-        return;
-      }
-      ++seq.cursor;
-      AddOutstanding(seq.request->tier, -1);  // one less prefill token owed
-      if (seq.cursor <= seq.high_water) {
-        ++report_.recomputed_tokens;  // swap-in recompute pass
-      } else {
-        seq.high_water = seq.cursor;
-        ++report_.total_tokens;
-      }
-      ++done;
-      if (seq.remaining_prefill() == 0) {
-        if (seq.pending_token < 0) {
-          // Original prefill complete: the first decoded token is sampled
-          // from these logits and committed next tick.
-          SampleNext(seq, logits);
-          if (seq.outcome.first_token_seconds == 0.0) {
-            ttft_marks.push_back(seq_id);
-          }
-          if (ShouldStop(seq)) {
-            // The very first sampled token is EOS/stop: finish with an
-            // empty generation, never entering decode.
-            FinishSequence(seq_id, FinishReason::kStop);
-            break;
-          }
-        }
-        seq.state = SeqState::kDecode;
-        if (config_.role == ShardRole::kPrefill && handoff_hook_) {
-          // Prefill-role shard: ship the finished KV to a decode shard
-          // at tick close (after TTFT is stamped). A mid-tick preemption
-          // revokes the plan -- the KV is gone, so it recomputes and
-          // hands off on a later tick.
-          handoff_ready.push_back(seq_id);
-        }
-        break;
-      }
-    }
-    if (done > 0) prefill_executed.emplace_back(seq_id, done);
+  if (done > 0) {
+    work_.prefill.emplace_back(seq_id, done);
+    work_.prefill_tokens += done;
   }
+  return error_.ok();
+}
 
-  // ---- close the tick.
+void ShardScheduler::CloseTick() {
   const std::int64_t executed_tokens =
-      static_cast<std::int64_t>(decode_executed.size()) + [&] {
-        std::int64_t s = 0;
-        for (auto& [id, n] : prefill_executed) {
-          (void)id;
-          s += n;
-        }
-        return s;
-      }();
-  if (executed_tokens == 0 && restored_this_tick == 0) {
+      static_cast<std::int64_t>(work_.decode_rows.size()) +
+      work_.prefill_tokens;
+  if (executed_tokens == 0 && plan_.restored == 0) {
     // Nothing runnable (e.g. every planned item was deferred). Progress
     // requires an external event; arrivals restart the tick chain.
     if (!residents_.empty() || !waiting_.empty()) {
@@ -1250,26 +1147,22 @@ void ShardScheduler::RunTick() {
   }
 
   const double tick_seconds = tick_cost_.group_seconds();
-  const sim::Cycles tick_cycles =
+  const sim::Cycles end_cycles =
+      engine_.now() +
       std::max<sim::Cycles>(1, SecondsToCycles(tick_seconds));
-  const sim::Cycles end_cycles = engine_.now() + tick_cycles;
   const double end_s = u280_.cycles_to_seconds(end_cycles);
   last_tick_end_cycles_ = std::max(last_tick_end_cycles_, end_cycles);
   busy_seconds_ += tick_seconds;
 
-  for (std::size_t seq_id : decode_committed) {
+  for (std::size_t seq_id : work_.committed) {
     seqs_[seq_id].outcome.completion_seconds = end_s;
   }
-  for (std::size_t seq_id : ttft_marks) {
-    if (seqs_[seq_id].outcome.first_token_seconds == 0.0) {
-      seqs_[seq_id].outcome.first_token_seconds = end_s;
-      if (telemetry_.tracing()) {
-        telemetry_.Record(MakeEvent(
-            obs::RequestEventKind::kFirstToken,
-            static_cast<std::int64_t>(seqs_[seq_id].stream_index),
-            tick_index_, end_s, end_s));
-      }
-    }
+  for (std::size_t seq_id : work_.ttft) {
+    Sequence& seq = seqs_[seq_id];
+    if (seq.outcome.first_token_seconds != 0.0) continue;
+    seq.outcome.first_token_seconds = end_s;
+    Trace(obs::RequestEventKind::kFirstToken,
+          static_cast<std::int64_t>(seq.stream_index), end_s, end_s);
   }
   for (const Emission& e : tick_emissions_) {
     // A stop at the end of prefill finishes with no decode commit; its
@@ -1280,67 +1173,15 @@ void ShardScheduler::RunTick() {
   }
   // Ship prefill-complete sequences after their TTFT stamps are final;
   // the KV pages are extractable once the tick's work is done.
-  for (std::size_t seq_id : handoff_ready) {
+  for (std::size_t seq_id : work_.handoff_ready) {
     if (seqs_[seq_id].state != SeqState::kDecode) continue;  // preempted
     ExtractHandoff(seq_id, end_cycles);
   }
 
   ++report_.ticks;
-  width_sum_ += static_cast<std::int64_t>(decode_executed.size() +
-                                          prefill_executed.size());
-  // Tick history lives on the telemetry trace: the tick and its
-  // per-sequence work.
-  if (telemetry_.tracing()) {
-    obs::RequestEvent tick_ev = MakeEvent(obs::RequestEventKind::kTick, -1,
-                                          tick_index_, start_s, end_s);
-    tick_ev.tokens = executed_tokens;
-    telemetry_.Record(std::move(tick_ev));
-    for (std::size_t id : decode_executed) {
-      obs::RequestEvent ev = MakeEvent(
-          obs::RequestEventKind::kDecodeToken,
-          static_cast<std::int64_t>(seqs_[id].stream_index), tick_index_,
-          start_s, end_s);
-      ev.tokens = 1;
-      telemetry_.Record(std::move(ev));
-    }
-    for (auto& [id, n] : prefill_executed) {
-      obs::RequestEvent ev = MakeEvent(
-          obs::RequestEventKind::kPrefillChunk,
-          static_cast<std::int64_t>(seqs_[id].stream_index), tick_index_,
-          start_s, end_s);
-      ev.tokens = n;
-      telemetry_.Record(std::move(ev));
-    }
-  }
-  if (telemetry_.metrics()) {
-    obs::ShardTickSample sample;
-    sample.end_seconds = end_s;
-    sample.tick_seconds = tick_seconds;
-    sample.decode_tokens = static_cast<std::int64_t>(decode_executed.size());
-    sample.prefill_tokens =
-        executed_tokens - static_cast<std::int64_t>(decode_executed.size());
-    sample.queue_depth = num_waiting();
-    sample.running_seqs = num_residents();
-    sample.kv_blocks_in_use = pool_.used_blocks();
-    sample.kv_blocks_evictable = pool_.evictable_blocks();
-    const KvPoolStats& ps = pool_.stats();
-    sample.cum_cache_hit_tokens = ps.prefix_hit_tokens;
-    sample.cum_cache_lookup_tokens = ps.prefix_lookup_tokens;
-    sample.cum_dma_bytes = ps.dma_bytes_moved;
-    sample.cum_preemptions = ps.preemption_releases;
-    sample.spec_draft_tokens = report_.spec_draft_tokens - spec_draft_at_open;
-    sample.spec_accepted_tokens =
-        report_.spec_accepted_tokens - spec_accept_at_open;
-    // The tick event runs at its *start* cycles, so snapshotting the
-    // registry here would interleave out of timestamp order with other
-    // cards' overlapping ticks. Defer the snapshot to an event at the
-    // tick's end: the event queue then serializes samples in time order.
-    if (telemetry_.OnTickEnd(sample)) {
-      engine_.ScheduleAt(end_cycles, [this, end_s] {
-        telemetry_.SampleNow(end_s);
-      });
-    }
-  }
+  width_sum_ += static_cast<std::int64_t>(work_.decode_rows.size() +
+                                          work_.prefill.size());
+  RecordTick(end_s, tick_seconds, end_cycles, executed_tokens);
 
   // Stream this tick's commits at its end time, ahead of the next tick
   // (the delivery event is scheduled first, so FIFO runs it first):
@@ -1357,6 +1198,73 @@ void ShardScheduler::RunTick() {
   // The rebalance hook runs last, with this tick's state fully settled:
   // the cluster may steal queued requests from us or submit elsewhere.
   if (kv_blocked_ && kv_pressure_hook_) kv_pressure_hook_();
+}
+
+void ShardScheduler::RecordTick(double end_s, double tick_seconds,
+                                sim::Cycles end_cycles,
+                                std::int64_t executed_tokens) {
+  // Tick history lives on the telemetry trace: the tick and its
+  // per-sequence work.
+  const double start_s = plan_.start_s;
+  Trace(obs::RequestEventKind::kTick, -1, start_s, end_s, executed_tokens);
+  for (std::size_t id : work_.decode_rows) {
+    Trace(obs::RequestEventKind::kDecodeToken,
+          static_cast<std::int64_t>(seqs_[id].stream_index), start_s, end_s,
+          1);
+  }
+  for (const auto& [id, n] : work_.prefill) {
+    Trace(obs::RequestEventKind::kPrefillChunk,
+          static_cast<std::int64_t>(seqs_[id].stream_index), start_s, end_s,
+          n);
+  }
+  if (!telemetry_.metrics()) return;
+  obs::ShardTickSample sample;
+  sample.end_seconds = end_s;
+  sample.tick_seconds = tick_seconds;
+  sample.decode_tokens = static_cast<std::int64_t>(work_.decode_rows.size());
+  sample.prefill_tokens = work_.prefill_tokens;
+  sample.queue_depth = num_waiting();
+  sample.running_seqs = num_residents();
+  sample.kv_blocks_in_use = pool_.used_blocks();
+  sample.kv_blocks_evictable = pool_.evictable_blocks();
+  const KvPoolStats& ps = pool_.stats();
+  sample.cum_cache_hit_tokens = ps.prefix_hit_tokens;
+  sample.cum_cache_lookup_tokens = ps.prefix_lookup_tokens;
+  sample.cum_dma_bytes = ps.dma_bytes_moved;
+  sample.cum_preemptions = ps.preemption_releases;
+  sample.spec_draft_tokens =
+      report_.spec_draft_tokens - work_.spec_draft_at_open;
+  sample.spec_accepted_tokens =
+      report_.spec_accepted_tokens - work_.spec_accept_at_open;
+  // The tick event runs at its *start* cycles, so snapshotting the
+  // registry here would interleave out of timestamp order with other
+  // cards' overlapping ticks. Defer the snapshot to an event at the
+  // tick's end: the event queue then serializes samples in time order.
+  if (telemetry_.OnTickEnd(sample)) {
+    engine_.ScheduleAt(end_cycles,
+                       [this, end_s] { telemetry_.SampleNow(end_s); });
+  }
+}
+
+bool ShardScheduler::Check(const Status& st) {
+  if (!st.ok() && error_.ok()) error_ = st;
+  return st.ok();
+}
+
+void ShardScheduler::Trace(obs::RequestEventKind kind, std::int64_t stream,
+                           double start_s, double end_s, std::int64_t tokens,
+                           std::int64_t bytes, std::string_view detail) {
+  if (!telemetry_.tracing()) return;
+  obs::RequestEvent ev;
+  ev.kind = kind;
+  ev.stream = stream;
+  ev.tick = tick_index_;
+  ev.start_seconds = start_s;
+  ev.end_seconds = end_s;
+  ev.tokens = tokens;
+  ev.bytes = bytes;
+  ev.detail = detail;
+  telemetry_.Record(std::move(ev));
 }
 
 sim::Cycles ShardScheduler::SecondsToCycles(double seconds) const {

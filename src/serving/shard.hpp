@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -296,12 +297,72 @@ class ShardScheduler {
     FinishReason finish = FinishReason::kNone;
   };
 
+  /// One tick's plan, built by PlanTick: the funded decode set in run
+  /// order and the prefill chunks, after admissions (which register,
+  /// restore cached prefixes and replay adopted handoffs) have run.
+  struct TickPlan {
+    double start_s = 0.0;             // tick start, simulated seconds
+    std::vector<std::size_t> decode;  // funded decode sequences
+    std::vector<std::pair<std::size_t, std::int32_t>> prefill;  // (seq, chunk)
+    std::int64_t restored = 0;  // tokens mapped by restores and replays
+  };
+
+  /// What executing a TickPlan did; CloseTick prices and commits it.
+  /// Capacity a finisher frees is released immediately, so a later chunk
+  /// in the same tick may use it; timestamps wait for the tick's length.
+  struct TickWork {
+    std::vector<std::size_t> committed;    // decode seqs with a commit
+    std::vector<std::size_t> ttft;         // first token sampled
+    std::vector<std::size_t> decode_rows;  // one entry per committed row
+    std::vector<std::pair<std::size_t, std::int32_t>> prefill;  // (seq, n)
+    std::int64_t prefill_tokens = 0;
+    std::vector<std::size_t> handoff_ready;  // prefill-role ship list
+    std::int64_t spec_draft_at_open = 0;
+    std::int64_t spec_accept_at_open = 0;
+  };
+
   void ScheduleTick(sim::Cycles at);
+  /// One tick: PlanTick, then DecodeOne / PrefillChunk over the plan,
+  /// then CloseTick.
   void RunTick();
+  /// Funds decode, continues resident prefills, then admits waiting
+  /// requests. False on a hard error.
+  bool PlanTick();
+  /// Fills plan_.decode from `budget` tokens and returns what is left.
+  /// Each decode sequence draws 1 + draft_tokens units. When the budget
+  /// cannot cover every decoding sequence, a window rotates over them;
+  /// with tiers on, whole tiers are funded in priority order first and
+  /// the window rotates only inside the first tier that does not fit.
+  std::int32_t FundDecode(std::int32_t budget);
+  /// Admits waiting requests in policy order while `prefill_budget`,
+  /// batch width and pool capacity allow, planning each one's first
+  /// prefill chunk. False on a hard error.
+  bool AdmitWaiting(std::int32_t prefill_budget);
+  /// KV blocks admitting `seq` takes from the free pool, net of cached
+  /// blocks a live resident already holds.
+  std::int64_t AdmissionBlocks(const Sequence& seq) const;
+  /// Makes waiting `seq_id` resident: pool registration, a slot, and the
+  /// first-admission stamps. False on a hard error.
+  bool Admit(std::size_t seq_id);
+  /// Commits one funded decode sequence's verify group: the pending
+  /// token plus any accepted drafts (k = 0 is plain decode). False on a
+  /// hard error.
+  bool DecodeOne(std::size_t seq_id);
+  /// Runs up to `chunk` prefill tokens of `seq_id`. False on a hard
+  /// error.
+  bool PrefillChunk(std::size_t seq_id, std::int32_t chunk);
+  /// Prices the tick (tick_cost_.group_seconds()) and commits it:
+  /// timestamps, handoffs, trace and metrics, emissions, the next tick
+  /// and the KV-pressure hook.
+  void CloseTick();
+  /// The tick's trace events and metrics sample.
+  void RecordTick(double end_s, double tick_seconds, sim::Cycles end_cycles,
+                  std::int64_t executed_tokens);
+  /// Waiting-queue candidates in admission order for this tick.
+  const std::vector<std::size_t>& AdmissionCandidates();
   /// Adjusts the total and per-tier outstanding-token counters together
   /// (every mutation site routes through here so they never diverge).
   void AddOutstanding(RequestTier tier, std::int64_t delta);
-  std::vector<std::size_t> AdmissionCandidates() const;
   bool EnsureKvToken(std::size_t seq_id, std::int32_t token);
   /// Maps `seq`'s longest cached prefix onto shared pool blocks and
   /// functionally rebuilds the slot executor's KV for it. No forward
@@ -324,33 +385,52 @@ class ShardScheduler {
   /// or preemption schedule.
   void PerturbLogitsForQuant(const Sequence& seq,
                              std::span<float> logits) const;
+  /// Drops resident `seq_id`'s pool references, executor slot and
+  /// resident entry (`preempted` counts it as a preemption release).
+  void Evict(std::size_t seq_id, bool preempted);
   void Preempt(std::size_t victim);
   /// Ships `seq_id` (prefill complete, first token sampled and TTFT
   /// stamped) to the cluster's handoff hook: releases its KV/slot here,
   /// marks it kHandedOff, and hands the hook a KvHandoff with the moved
   /// sampler so the decode shard's stream continues byte-identically.
   void ExtractHandoff(std::size_t seq_id, sim::Cycles ready);
-  /// Maps an adopted handoff's shipped KV onto pool blocks and replays
-  /// the slot executor at zero simulated compute (the pages arrived over
-  /// the interconnect; the transfer already paid). Returns false on a
-  /// hard error or pool exhaustion mid-replay.
+  /// First local admission of an adopted handoff: maps its shipped KV
+  /// onto pool blocks and replays the slot executor at zero simulated
+  /// compute (the pages arrived over the interconnect; the transfer
+  /// already paid), so it joins the decode set next tick. A pool that
+  /// runs dry mid-replay leaves the tail to recompute as ordinary
+  /// prefill. False on a hard error.
   bool ReplayAdoptedKv(std::size_t seq_id);
   int AcquireSlot();
   void ReleaseSlot(Sequence& seq);
-  bool ForwardToken(Sequence& seq, std::int32_t token, std::int32_t pos,
-                    std::span<const float>* logits);
+  /// Runs one forward through `seq`'s slot executor and folds its
+  /// simulated cost into the tick. Returns the row's cost in seconds, or
+  /// nullopt on a hard error.
+  std::optional<double> ForwardToken(Sequence& seq, std::int32_t token,
+                                     std::int32_t pos,
+                                     std::span<const float>* logits);
   /// Runs one decode sequence's draft phase: proposes up to the
   /// configured k draft tokens as a KvBlockPool speculation phase
   /// (rolled back before any verify commit, so draft content never
   /// reaches the prefix cache), charges any DMA the drafts moved, and
   /// evaluates the deterministic acceptance model. Returns the accepted
   /// run length; `drafted` receives the proposals actually made (the
-  /// pool may cut a draft short when blocks run dry).
+  /// pool may cut a draft short when blocks run dry). k = 0 returns 0
+  /// before any side effect.
   std::int32_t DraftAndAccept(std::size_t seq_id, std::int32_t* drafted);
   void SampleNext(Sequence& seq, std::span<const float> logits);
   bool ShouldStop(const Sequence& seq) const;
   void FinishSequence(std::size_t seq_id, FinishReason reason);
   void DeliverEmissions();
+  /// Records a failed call's status in error_ (the first failure wins),
+  /// so Finalize reports it in every build type. Returns st.ok().
+  bool Check(const Status& st);
+  /// Records one telemetry trace event when tracing is on; instants pass
+  /// start_s == end_s. `stream` is -1 for shard-level events.
+  void Trace(obs::RequestEventKind kind, std::int64_t stream, double start_s,
+             double end_s, std::int64_t tokens = 0, std::int64_t bytes = 0,
+             std::string_view detail = {});
+  double NowSeconds() const { return u280_.cycles_to_seconds(engine_.now()); }
   sim::Cycles SecondsToCycles(double seconds) const;
 
   const accel::Program& program_;
@@ -367,6 +447,11 @@ class ShardScheduler {
   std::vector<std::unique_ptr<accel::Executor>> slots_;
   std::vector<int> free_slots_;
   std::vector<float> sample_scratch_;
+  // Per-tick scratch, reused across ticks.
+  TickPlan plan_;
+  TickWork work_;
+  std::vector<std::size_t> decoding_;
+  std::vector<std::size_t> candidates_;
   std::function<void()> kv_pressure_hook_;
   HandoffHook handoff_hook_;
   Interconnect& interconnect_;  // cluster-shared stations
@@ -393,7 +478,6 @@ class ShardScheduler {
   // verify row, draft row, and serial DMA second of the current tick
   // lands here; the tick's length is tick_cost_.group_seconds().
   hw::GroupedKernelCostModel tick_cost_;
-  double last_forward_seconds_ = 0.0;  // cost of the newest forward row
   std::int64_t width_sum_ = 0;
   Status error_;
   ServingReport report_;

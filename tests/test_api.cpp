@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -523,6 +524,36 @@ TEST(ApiEngineTest, SubmitRejectsOutOfRangeTier) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->merged.outcomes.size(),
             static_cast<std::size_t>(serving::kNumTiers));
+}
+
+TEST(ApiEngineTest, NonFiniteSpeculationSettingsAreRejectedAtConstruction) {
+  Fixture f;
+  auto prog = f.Compile();
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    for (bool in_rate : {true, false}) {
+      EngineConfig config;
+      serving::SpeculativeConfig& spec = config.scheduler.speculative;
+      spec.draft_tokens = 4;
+      if (in_rate) {
+        spec.acceptance_rate = bad;
+      } else {
+        spec.draft_cost_ratio = bad;
+      }
+      Engine engine(prog, f.weights, f.u280, config);
+      SCOPED_TRACE(std::string(in_rate ? "acceptance_rate " : "cost_ratio ") +
+                   std::to_string(bad));
+      EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // k = 0 is speculation off: its other settings are never read.
+  EngineConfig off;
+  off.scheduler.speculative.acceptance_rate = std::nan("");
+  Engine engine(prog, f.weights, f.u280, off);
+  ASSERT_TRUE(engine.Submit(MakeRequest(4, 4, 0.0)).ok());
+  engine.RunToCompletion();
+  EXPECT_TRUE(engine.Finish().ok());
 }
 
 TEST(ApiEngineTest, FinishRequiresDrainedEngineAndRunsOnce) {

@@ -5,7 +5,9 @@
 // byte-identical streams and reports, and drain every KV pool.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/executor.hpp"
@@ -163,7 +165,39 @@ struct FuzzRun {
   std::int64_t spec_accepted = 0;
   std::int64_t dma_bytes = 0;
   std::int64_t cancelled = 0;
+  std::int64_t ticks = 0;
+  std::int64_t preemptions = 0;
+  std::int64_t recomputed = 0;
+  std::int64_t spec_wasted = 0;
+  std::int64_t cache_hit_tokens = 0;
 };
+
+/// FNV-1a over every field of a FuzzRun: streams, finish reasons, the
+/// makespan's bits and every counter. Pins a replay across versions of
+/// the scheduler, where the replay-vs-replay check only pins a build
+/// against itself.
+std::uint64_t Digest(const FuzzRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const std::vector<std::int32_t>& stream : run.streams) {
+    mix(stream.size());
+    for (std::int32_t token : stream) mix(static_cast<std::uint64_t>(token));
+  }
+  for (int finish : run.finishes) mix(static_cast<std::uint64_t>(finish));
+  mix(std::bit_cast<std::uint64_t>(run.makespan));
+  for (std::int64_t counter :
+       {run.total_tokens, run.spec_draft, run.spec_accepted, run.dma_bytes,
+        run.cancelled, run.ticks, run.preemptions, run.recomputed,
+        run.spec_wasted, run.cache_hit_tokens}) {
+    mix(static_cast<std::uint64_t>(counter));
+  }
+  return h;
+}
 
 void RunSchedulerFuzzOnce(const accel::Program& prog,
                           const llama::Weights& weights,
@@ -194,8 +228,11 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   s.charge_dma_cost = rng.NextBounded(2) == 0;
   s.allow_preemption = rng.NextBounded(2) == 0;
   s.enable_tiers = rng.NextBounded(2) == 0;
-  s.speculative.enable = rng.NextBounded(2) == 0;
-  s.speculative.draft_tokens = static_cast<std::int32_t>(rng.NextBounded(7));
+  // Two draws, in this order, so every logged seed replays its config:
+  // a coin for speculation, then k (speculation off is k = 0).
+  const bool spec_on = rng.NextBounded(2) == 0;
+  const auto k = static_cast<std::int32_t>(rng.NextBounded(7));
+  s.speculative.draft_tokens = spec_on ? k : 0;
   s.speculative.acceptance_rate = rng.NextDouble();
   s.speculative.draft_cost_ratio = 0.3 * rng.NextDouble();
   s.speculative.acceptance_seed = rng.NextU64();
@@ -262,6 +299,11 @@ void RunSchedulerFuzzOnce(const accel::Program& prog,
   out->spec_accepted = report->merged.spec_accepted_tokens;
   out->dma_bytes = report->merged.dma_bytes_moved;
   out->cancelled = report->merged.cancelled_requests;
+  out->ticks = report->merged.ticks;
+  out->preemptions = report->merged.preemptions;
+  out->recomputed = report->merged.recomputed_tokens;
+  out->spec_wasted = report->merged.spec_wasted_tokens;
+  out->cache_hit_tokens = report->merged.prefix_cache_hit_tokens;
   // Cross-field sanity that must hold for ANY configuration.
   EXPECT_GE(out->spec_draft, out->spec_accepted);
   EXPECT_GE(out->makespan, 0.0);
@@ -276,8 +318,17 @@ TEST(SchedulerFuzzTest, RandomConfigsReplayByteIdenticalAndDrainPools) {
                               u280);
   ASSERT_TRUE(cr.ok()) << cr.status().ToString();
   const accel::Program& prog = cr->program;
-  for (std::uint64_t seed : {1ull, 42ull, 777ull, 31337ull, 900913ull,
-                             0xdecafbadull}) {
+  // Digest of each seed's run, pinned from the scheduler whose tick was
+  // one function, before it was split into plan / execute / close. Any
+  // change to a stream, a finish, the makespan or a counter moves it.
+  constexpr std::pair<std::uint64_t, std::uint64_t> kPinned[] = {
+      {1ull, 0x8cfce79649b270d3ull},
+      {42ull, 0x819c1247aa1ccfe5ull},
+      {777ull, 0x5ed1445d7310a6f1ull},
+      {31337ull, 0xb8d7b65a43c0ff52ull},
+      {900913ull, 0xceb10642bf33b30aull},
+      {0xdecafbadull, 0x7ae657f9ccd49cb2ull}};
+  for (const auto& [seed, digest] : kPinned) {
     SPEEDLLM_SEED_TRACE("scheduler_fuzz", seed);
     FuzzRun first, second;
     RunSchedulerFuzzOnce(prog, weights, u280, seed, &first);
@@ -293,6 +344,13 @@ TEST(SchedulerFuzzTest, RandomConfigsReplayByteIdenticalAndDrainPools) {
     EXPECT_EQ(second.spec_accepted, first.spec_accepted);
     EXPECT_EQ(second.dma_bytes, first.dma_bytes);
     EXPECT_EQ(second.cancelled, first.cancelled);
+    EXPECT_EQ(second.ticks, first.ticks);
+    EXPECT_EQ(second.preemptions, first.preemptions);
+    EXPECT_EQ(second.recomputed, first.recomputed);
+    EXPECT_EQ(second.spec_wasted, first.spec_wasted);
+    EXPECT_EQ(second.cache_hit_tokens, first.cache_hit_tokens);
+    EXPECT_EQ(Digest(first), digest)
+        << "run moved from the pinned digest 0x" << std::hex << digest;
   }
 }
 

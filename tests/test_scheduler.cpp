@@ -12,8 +12,11 @@
 #include "llama/tokenizer.hpp"
 #include "runtime/round_robin.hpp"
 #include "runtime/variants.hpp"
+#include "serving/interconnect.hpp"
 #include "serving/scheduler.hpp"
+#include "serving/shard.hpp"
 #include "serving/workload.hpp"
+#include "sim/engine.hpp"
 #include "test_util.hpp"
 
 namespace speedllm::serving {
@@ -73,11 +76,19 @@ struct TracedRun {
   std::vector<testutil::TickComposition> ticks;
 };
 
+/// With `roles` set, one card per role serves the trace and the ticks
+/// are read off card `traced_card`.
 TracedRun RunTraced(const accel::Program& prog, const Fixture& f,
                     const SchedulerConfig& config,
-                    const std::vector<ServingRequest>& reqs) {
+                    const std::vector<ServingRequest>& reqs,
+                    const std::vector<ShardRole>& roles = {},
+                    std::int32_t traced_card = 0) {
   api::EngineConfig engine_config;
   engine_config.scheduler = config;
+  if (!roles.empty()) {
+    engine_config.num_cards = static_cast<int>(roles.size());
+    engine_config.shard_roles = roles;
+  }
   engine_config.sampler = Greedy();
   engine_config.telemetry.enable_tracing = true;
   api::Engine engine(prog, f.weights, f.u280, engine_config);
@@ -86,7 +97,8 @@ TracedRun RunTraced(const accel::Program& prog, const Fixture& f,
   }
   engine.RunToCompletion();
   TracedRun run;
-  run.ticks = testutil::TicksFromTrace(engine.telemetry()->trace()->events());
+  run.ticks = testutil::TicksFromTrace(engine.telemetry()->trace()->events(),
+                                       traced_card);
   auto report = engine.Finish();
   if (report.ok()) {
     run.report = std::move(report->merged);
@@ -187,6 +199,99 @@ TEST(SchedulerTest, DecodePriorityCapsPrefillPerTick) {
     max_prefill = std::max(max_prefill, tick.prefill_tokens);
   }
   EXPECT_GT(max_prefill, 2);
+}
+
+/// Decode streams of every tick, in run order.
+std::vector<std::vector<std::size_t>> DecodeStreams(const TracedRun& run) {
+  std::vector<std::vector<std::size_t>> out;
+  for (const testutil::TickComposition& tick : run.ticks) {
+    out.push_back(tick.decode_streams);
+  }
+  return out;
+}
+
+TEST(SchedulerTest, ScarceBudgetFundsDecodeInPinnedOrder) {
+  // More decoding sequences than the token budget covers, so each tick
+  // funds only part of the decode set. Without speculation a card can
+  // only get there by adopting handoffs (which take no prefill budget),
+  // so the first leg reads the decode card of a prefill/decode pair; the
+  // second leg widens each decode sequence to 1 + k budget units on one
+  // card. Tiers off rotates over the whole decode set; tiers on funds
+  // whole tiers in priority order and rotates only inside the first tier
+  // the budget cannot cover. Every tick's decode rows are pinned.
+  Fixture f;
+  auto prog = f.Compile();
+  SchedulerConfig config;
+  config.policy = BatchPolicy::kFcfs;
+  config.max_batch_seqs = 6;
+  config.max_batch_tokens = 3;
+  constexpr RequestTier kTiers[] = {
+      RequestTier::kBestEffort, RequestTier::kStandard,
+      RequestTier::kInteractive, RequestTier::kStandard,
+      RequestTier::kInteractive, RequestTier::kBestEffort};
+  std::vector<ServingRequest> reqs;
+  for (std::int32_t i = 0; i < 6; ++i) {
+    reqs.push_back(MakeRequest(2, 4 + i % 3, 0.0, i));
+    reqs.back().tier = kTiers[i];
+  }
+  SchedulerConfig spec = config;
+  spec.max_batch_tokens = 4;
+  spec.speculative.draft_tokens = 1;  // two budget units per sequence
+  std::vector<ServingRequest> one_token = reqs;
+  for (ServingRequest& req : one_token) req.prompt.resize(1);
+
+  using Ticks = std::vector<std::vector<std::size_t>>;
+  const Ticks kDecodeCardFlat = {
+      {},        {0},       {0},       {0},       {0, 1, 2}, {1, 2},
+      {1, 2, 3}, {4, 5, 1}, {2, 3, 4}, {5, 1, 2}, {2, 3, 4}, {3, 4, 5},
+      {4, 5},    {5},       {5}};
+  const Ticks kDecodeCardTiered = {
+      {},        {2},       {2},       {2},       {2, 4, 1}, {2, 4, 1},
+      {2, 4, 1}, {4, 1},    {4, 1, 3}, {3, 0, 5}, {3, 0, 5}, {3, 0, 5},
+      {0, 5},    {5},       {5}};
+  // Speculative ticks list one decode row per committed token.
+  const Ticks kSpecFlat = {{},           {0, 1, 1},    {2, 2, 3, 3},
+                           {0, 1, 1},    {2, 2, 3, 3}, {2, 2, 0, 0},
+                           {1},          {4, 5},       {4, 5, 5},
+                           {4, 4, 5, 5}, {4, 5}};
+  const Ticks kSpecTiered = {{},        {2, 2, 4},    {2, 2, 4},
+                             {2, 2, 4, 4}, {4, 1, 1}, {1, 1, 3, 3},
+                             {1, 3, 3}, {},           {0, 5},
+                             {0, 5, 5}, {0, 0, 5, 5}, {5}};
+  for (bool tiers : {false, true}) {
+    SCOPED_TRACE(tiers ? "tiers on" : "tiers off");
+    config.enable_tiers = tiers;
+    spec.enable_tiers = tiers;
+    TracedRun decode_card = RunTraced(
+        prog, f, config, reqs, {ShardRole::kPrefill, ShardRole::kDecode}, 1);
+    ASSERT_TRUE(decode_card.report.ok())
+        << decode_card.report.status().ToString();
+    EXPECT_EQ(DecodeStreams(decode_card),
+              tiers ? kDecodeCardTiered : kDecodeCardFlat);
+    TracedRun speculative = RunTraced(prog, f, spec, one_token);
+    ASSERT_TRUE(speculative.report.ok())
+        << speculative.report.status().ToString();
+    EXPECT_EQ(DecodeStreams(speculative), tiers ? kSpecTiered : kSpecFlat);
+  }
+}
+
+TEST(SchedulerTest, FailedPoolReleaseSurfacesInFinalize) {
+  // A failed pool call must reach Finalize in every build type, not only
+  // trip a debug assert. Dropping the shard's pool sequence behind its
+  // back makes the cancel's own release fail.
+  Fixture f;
+  auto prog = f.Compile();
+  sim::Engine engine;
+  Interconnect interconnect(hw::MultiCardConfig::Homogeneous(f.u280, 1));
+  ShardScheduler shard(prog, f.weights, f.u280, NormalizeSchedulerConfig({}),
+                       engine, interconnect, 0);
+  const ServingRequest req = MakeRequest(4, 4, 0.0);
+  shard.Submit(req, 0, Greedy());
+  engine.RunUntil(0);  // the first tick admits and prefills the request
+  ASSERT_EQ(shard.num_residents(), 1);
+  ASSERT_TRUE(shard.mutable_pool().Release(0).ok());
+  EXPECT_TRUE(shard.Abort(0).ok());
+  EXPECT_EQ(shard.Finalize().code(), StatusCode::kNotFound);
 }
 
 // ---------------- aging / starvation ----------------

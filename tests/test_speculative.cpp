@@ -232,7 +232,6 @@ void ExpectSameStreams(const RunResult& off, const RunResult& on,
 
 SpeculativeConfig DefaultSpec() {
   SpeculativeConfig spec;
-  spec.enable = true;
   spec.draft_tokens = 4;
   spec.acceptance_rate = 0.7;
   return spec;
@@ -322,8 +321,9 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
 }
 
 TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
-  // enable=true with draft_tokens=0 must be indistinguishable from
-  // speculation off, down to the telemetry exports.
+  // A k that NormalizeSchedulerConfig clamps to 0 (a one-token budget
+  // leaves no room for drafts) must be indistinguishable from k = 0 at
+  // the same budget, down to the telemetry exports.
   Fixture f;
   auto prog = f.Compile();
   auto reqs = MixedTrace(f.config, 12, 55);
@@ -334,9 +334,10 @@ TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
   ClusterConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
+  off.shard.max_batch_tokens = 1;
+  off.shard.speculative.draft_tokens = 0;
   ClusterConfig on = off;
-  on.shard.speculative.enable = true;
-  on.shard.speculative.draft_tokens = 0;
+  on.shard.speculative.draft_tokens = 4;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "k=0");
