@@ -1,7 +1,9 @@
 // Unit tests for the graph-to-accelerator compiler.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string_view>
 
 #include "compiler/compiler.hpp"
 #include "runtime/variants.hpp"
@@ -209,6 +211,267 @@ TEST(CompilerTest, StoresUseSingleEngineWhenSerialized) {
     }
   }
   EXPECT_TRUE(any_out);
+}
+
+// FNV-1a over a compiled program. Enums are hashed by name, never by
+// integer value, so reordering or deleting an enumerator cannot move a
+// digest on its own.
+class Fnv1a {
+ public:
+  void Bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void U64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      const unsigned char b = static_cast<unsigned char>(v >> (8 * i));
+      Bytes(&b, 1);
+    }
+  }
+  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
+  void Str(std::string_view s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+std::string_view OpcodeName(Opcode op) {
+  switch (op) {
+    case Opcode::kLaunch: return "launch";
+    case Opcode::kDmaLoad: return "load";
+    case Opcode::kDmaStore: return "store";
+    case Opcode::kCompute: return "compute";
+  }
+  return "?";
+}
+
+std::string_view ComputeKindName(accel::ComputeKind k) {
+  using accel::ComputeKind;
+  switch (k) {
+    case ComputeKind::kNone: return "none";
+    case ComputeKind::kEmbedCopy: return "embed_copy";
+    case ComputeKind::kMatMulTile: return "matmul_tile";
+    case ComputeKind::kRmsNorm: return "rmsnorm";
+    case ComputeKind::kRope: return "rope";
+    case ComputeKind::kKvWrite: return "kv_write";
+    case ComputeKind::kAttScores: return "att_scores";
+    case ComputeKind::kSoftmax: return "softmax";
+    case ComputeKind::kAttMix: return "att_mix";
+    case ComputeKind::kSilu: return "silu";
+    case ComputeKind::kEltAdd: return "add";
+    case ComputeKind::kEltMul: return "mul";
+  }
+  return "?";
+}
+
+std::string_view ValueKindName(graph::ValueKind k) {
+  switch (k) {
+    case graph::ValueKind::kWeight: return "weight";
+    case graph::ValueKind::kActivation: return "activation";
+    case graph::ValueKind::kKvCache: return "kv_cache";
+    case graph::ValueKind::kOutput: return "output";
+  }
+  return "?";
+}
+
+void HashGraph(const graph::DecodeGraph& dg, Fnv1a& h) {
+  for (const auto& v : dg.graph.values()) {
+    h.I64(v.id);
+    h.Str(v.name);
+    h.Str(ValueKindName(v.kind));
+    h.Str(v.dtype == graph::DType::kF32 ? "f32" : "int8");
+    h.I64(v.elements);
+  }
+  for (const auto& op : dg.graph.ops()) {
+    h.I64(op.id);
+    h.Str(graph::OpKindName(op.kind));
+    h.Str(op.name);
+    h.I64(op.layer);
+    h.U64(op.inputs.size());
+    for (auto in : op.inputs) h.I64(in);
+    h.U64(op.outputs.size());
+    for (auto out : op.outputs) h.I64(out);
+    h.I64(op.m);
+    h.I64(op.k);
+    h.I64(op.n_heads);
+    h.I64(op.head_dim);
+  }
+  for (auto id : {dg.token_embedding, dg.rms_final, dg.wcls, dg.x, dg.logits}) {
+    h.I64(id);
+  }
+  for (const auto& l : dg.layers) {
+    for (auto id : {l.rms_att, l.wq, l.wk, l.wv, l.wo, l.rms_ffn, l.w1, l.w2,
+                    l.w3, l.k_cache, l.v_cache}) {
+      h.I64(id);
+    }
+  }
+}
+
+/// Digest of everything Compile decides: the decode graph, every
+/// instruction field, tiles, buffers, stats, exec parameters and the
+/// resource ledger (its report and per-tag usage).
+std::uint64_t ProgramDigest(const CompileResult& cr) {
+  const accel::Program& p = cr.program;
+  Fnv1a h;
+  h.Str(p.model.ToString());
+  HashGraph(p.dg, h);
+  for (const Instr& in : p.instrs) {
+    h.U64(in.id);
+    h.Str(OpcodeName(in.opcode));
+    h.Str(accel::UnitName(in.unit));
+    h.I64(in.op);
+    h.I64(in.group);
+    h.I64(in.value);
+    h.U64(in.bytes);
+    h.I64(in.channel_first);
+    h.I64(in.channel_count);
+    h.Str(ComputeKindName(in.compute));
+    h.I64(in.row_begin);
+    h.I64(in.row_end);
+    h.I64(in.macs);
+    h.I64(in.sfu_ops);
+    h.U64(in.onchip_bytes);
+    h.U64(in.seq_scaled ? 1 : 0);
+    h.U64(in.deps.size());
+    for (auto d : in.deps) h.U64(d);
+    h.Str(in.label);
+  }
+  for (const auto& t : p.tiles) {
+    h.I64(t.op);
+    h.I64(t.rows_per_tile);
+    h.I64(t.num_tiles);
+    h.U64(t.tile_bytes);
+    h.I64(t.num_buffers);
+  }
+  for (const auto& b : p.buffers) {
+    h.I64(b.id);
+    h.Str(b.purpose);
+    h.U64(b.offset);
+    h.U64(b.bytes);
+  }
+  const accel::ProgramStats& s = p.stats;
+  for (std::uint64_t v :
+       {s.num_groups, s.num_instrs, s.onchip_peak_bytes, s.onchip_budget_bytes,
+        s.weight_stream_bytes, s.act_spill_bytes}) {
+    h.U64(v);
+  }
+  h.I64(s.min_tile_rows);
+  const accel::ExecConfig& e = p.exec;
+  h.Str(e.variant_name);
+  for (bool b : {e.pipeline, e.fusion, e.memory_reuse, e.int8_weights}) {
+    h.U64(b ? 1 : 0);
+  }
+  h.I64(e.mpe_macs_per_cycle);
+  h.U64(e.mpe_fill_cycles);
+  h.I64(e.sfu_lanes);
+  h.U64(e.sfu_fill_cycles);
+  h.U64(e.kernel_launch_cycles);
+  h.U64(e.dma_setup_cycles);
+  h.Str(cr.ledger.Report());
+  for (auto res : {hw::Resource::kLut, hw::Resource::kFf, hw::Resource::kDsp,
+                   hw::Resource::kBramBlock, hw::Resource::kUramBlock}) {
+    h.Str(hw::ResourceName(res));
+    for (const char* tag : {"mpe", "sfu", "dma", "ctrl", "buffers"}) {
+      h.U64(cr.ledger.used_by_tag(res, tag));
+    }
+  }
+  return h.value();
+}
+
+// Pins every compiled Program byte for byte. The constants were captured
+// before the compiler was split into passes; a refactor must leave every
+// one unchanged.
+TEST(CompilerTest, ProgramDigestsArePinned) {
+  struct Preset {
+    const char* name;
+    llama::ModelConfig config;
+  };
+  struct Pinned {
+    const char* name;
+    std::uint64_t digest;
+  };
+  const Pinned kPinned[] = {
+      {"tiny/Unoptimized/fp32", 0x68412d214bbf7873ull},
+      {"tiny/Unoptimized/int8", 0x3bab42716aafe5a7ull},
+      {"tiny/NoPipeline/fp32", 0xccb04c7bb52d5e18ull},
+      {"tiny/NoPipeline/int8", 0x83920c5f12dee20bull},
+      {"tiny/NoFuse/fp32", 0x9fa3001ae6aed7a8ull},
+      {"tiny/NoFuse/int8", 0xcf8dcf6aa735bc35ull},
+      {"tiny/SpeedLLM/fp32", 0x7ac82b64c696f55full},
+      {"tiny/SpeedLLM/int8", 0x5592cc4443966548ull},
+      {"tiny/NoReuse/fp32", 0x6215fc6bcd717dcfull},
+      {"tiny/NoReuse/int8", 0xc368cabd2d290b82ull},
+      {"stories15m/Unoptimized/fp32", 0xecc16843df94ae4dull},
+      {"stories15m/Unoptimized/int8", 0x9c8ad990bb8e88d3ull},
+      {"stories15m/NoPipeline/fp32", 0x2f2f27e5d62a9402ull},
+      {"stories15m/NoPipeline/int8", 0x355feb8378155b08ull},
+      {"stories15m/NoFuse/fp32", 0xdb533aec93eb01cbull},
+      {"stories15m/NoFuse/int8", 0x7fb785c9a309d01aull},
+      {"stories15m/SpeedLLM/fp32", 0x4796a1332694813eull},
+      {"stories15m/SpeedLLM/int8", 0xb462105f9403c720ull},
+      {"stories15m/NoReuse/fp32", 0xe282fc215216cc55ull},
+      {"stories15m/NoReuse/int8", 0xa3f0d5b581c1d5beull},
+      {"stories110m/Unoptimized/fp32", 0x59ac75fc5217ba66ull},
+      {"stories110m/Unoptimized/int8", 0x9a9147c4ad0f5348ull},
+      {"stories110m/NoPipeline/fp32", 0xc185fb6a3a34582dull},
+      {"stories110m/NoPipeline/int8", 0xbdac7c3efe173a94ull},
+      {"stories110m/NoFuse/fp32", 0x1e25c1b82778598ull},
+      {"stories110m/NoFuse/int8", 0x4e87227a0174acfcull},
+      {"stories110m/SpeedLLM/fp32", 0x91b66a768c54a4fcull},
+      {"stories110m/SpeedLLM/int8", 0x9eb4773a3d894789ull},
+      {"stories110m/NoReuse/fp32", 0x5d5efe4c883cbc64ull},
+      {"stories110m/NoReuse/int8", 0x6eab00791000dde4ull},
+      {"stories15m/SpeedLLM/fp32/budget0.01", 0xfdd8c9c973b01d73ull},
+  };
+  std::map<std::string, std::uint64_t> actual;
+  for (const Preset& preset :
+       {Preset{"tiny", llama::ModelConfig::Tiny()},
+        Preset{"stories15m", llama::ModelConfig::Stories15M()},
+        Preset{"stories110m", llama::ModelConfig::Stories110M()}}) {
+    for (auto v :
+         {runtime::Variant::kUnoptimized, runtime::Variant::kNoPipeline,
+          runtime::Variant::kNoFuse, runtime::Variant::kSpeedLLM,
+          runtime::Variant::kNoReuse}) {
+      for (bool int8 : {false, true}) {
+        CompilerOptions opt = runtime::OptionsFor(v);
+        opt.int8_weights = int8;
+        std::string name = preset.name;
+        name += '/';
+        name += runtime::VariantName(v);
+        name += int8 ? "/int8" : "/fp32";
+        actual[name] = ProgramDigest(MustCompile(preset.config, opt));
+      }
+    }
+  }
+  // Reduced budget: tiles shrink to fit (as in
+  // TinyBudgetForcesTileShrinkOrFails).
+  CompilerOptions shrunk = CompilerOptions::SpeedLLM();
+  shrunk.onchip_budget_fraction = 0.01;
+  CompileResult shrunk_cr =
+      MustCompile(llama::ModelConfig::Stories15M(), shrunk);
+  EXPECT_LT(shrunk_cr.program.stats.min_tile_rows,
+            MustCompile(llama::ModelConfig::Stories15M(),
+                        CompilerOptions::SpeedLLM())
+                .program.stats.min_tile_rows);
+  actual["stories15m/SpeedLLM/fp32/budget0.01"] = ProgramDigest(shrunk_cr);
+
+  std::set<std::string> checked;
+  for (const Pinned& pin : kPinned) {
+    ASSERT_TRUE(actual.count(pin.name)) << pin.name;
+    EXPECT_EQ(actual[pin.name], pin.digest) << pin.name;
+    checked.insert(pin.name);
+  }
+  for (const auto& [name, digest] : actual) {
+    EXPECT_TRUE(checked.count(name)) << "unpinned: {\"" << name << "\", 0x"
+                                     << std::hex << digest << "ull},";
+  }
 }
 
 TEST(CompilerTest, RejectsInvalidConfig) {
