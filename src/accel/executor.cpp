@@ -137,32 +137,13 @@ void Executor::ExecuteCompute(const Instr& instr, std::int32_t token,
       auto& x = Buffer(op.inputs[1]);
       const std::int64_t r0 = instr.row_begin;
       const std::int64_t r1 = instr.row_end;
-      std::span<float> out_rows{out.data() + r0,
-                                static_cast<std::size_t>(r1 - r0)};
       auto qit = quant_map_.find(op.inputs[0]);
       if (qit != quant_map_.end()) {
-        // int8 rows: each row is group-aligned, so a row-range view is a
-        // contiguous sub-problem.
-        const auto& qt = qit->second;
-        const std::int64_t gs = qt.group_size;
-        for (std::int64_t i = r0; i < r1; ++i) {
-          const std::int8_t* wrow = qt.q.data() + i * op.k;
-          const float* srow = qt.scales.data() + (i * op.k) / gs;
-          float acc = 0.0f;
-          for (std::int64_t grp = 0; grp < op.k / gs; ++grp) {
-            float gacc = 0.0f;
-            const std::int8_t* wg = wrow + grp * gs;
-            const float* xg = x.data() + grp * gs;
-            for (std::int64_t j = 0; j < gs; ++j) {
-              gacc += static_cast<float>(wg[j]) * xg[j];
-            }
-            acc += gacc * srow[grp];
-          }
-          out[static_cast<std::size_t>(i)] = acc;
-        }
+        quant::MatMulQ8Rows(out.span(), qit->second, x.span(), op.k, r0, r1);
       } else {
         auto w = WeightSpan(op.inputs[0]);
-        llama::MatMul(out_rows,
+        llama::MatMul(out.span().subspan(static_cast<std::size_t>(r0),
+                                         static_cast<std::size_t>(r1 - r0)),
                       w.subspan(static_cast<std::size_t>(r0 * op.k),
                                 static_cast<std::size_t>((r1 - r0) * op.k)),
                       x.span(), r1 - r0, op.k, nullptr);

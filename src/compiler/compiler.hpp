@@ -1,10 +1,17 @@
 // SpeedLLM -- the graph-to-accelerator compiler.
 //
-// Pipeline: build decode graph -> fuse operators -> pick matmul tile
-// sizes under the on-chip budget (shrinking until the buffer allocation
-// fits -- this is where disabling memory reuse hurts) -> allocate on-chip
-// buffers -> emit the instruction stream with data and double-buffer
-// dependencies -> charge the resource ledger.
+// Compile runs four named passes (src/compiler/compiler.cpp):
+//   1. build and fuse -- build the decode graph and partition it into
+//      fused groups (fusion.hpp);
+//   2. fit tiles      -- pick matmul tile sizes under the on-chip budget,
+//      shrinking until the buffer allocation fits (allocator.hpp; this is
+//      where disabling memory reuse hurts);
+//   3. emit           -- lower each group to launch, load, compute and
+//      store instructions with data and double-buffer dependencies;
+//   4. buffers, stats and ledger -- record the buffer placements and
+//      per-token stats and charge the resource ledger.
+// CompilerTest.ProgramDigestsArePinned pins every compiled Program, so a
+// change to any pass that moves a single field shows up there.
 #pragma once
 
 #include "accel/program.hpp"

@@ -11,7 +11,6 @@ std::string_view OpKindName(OpKind k) {
     case OpKind::kMatMul: return "matmul";
     case OpKind::kRope: return "rope";
     case OpKind::kKvWrite: return "kv_write";
-    case OpKind::kAttention: return "attention";
     case OpKind::kAttScores: return "att_scores";
     case OpKind::kSoftmax: return "softmax";
     case OpKind::kAttMix: return "att_mix";
@@ -98,249 +97,167 @@ OpId Graph::LastConsumer(ValueId v) const {
   return last;
 }
 
+namespace {
+
+ValueId AddF32(Graph& g, std::string name, ValueKind kind,
+               std::int64_t elements) {
+  return g.AddValue(std::move(name), kind, DType::kF32, elements);
+}
+
+// Every op enters the decode graph here. Given `out`, the op's one output
+// is first made as a fresh activation of op.m floats. Returns the op's
+// first output.
+ValueId AddOp(Graph& g, Op op, std::string out = {}) {
+  if (!out.empty()) {
+    op.outputs = {AddF32(g, std::move(out), ValueKind::kActivation, op.m)};
+  }
+  const ValueId first = op.outputs[0];
+  g.AddOp(std::move(op));
+  return first;
+}
+
+ValueId AddMatMul(Graph& g, std::string name, std::int32_t layer, ValueId w,
+                  ValueId in, std::int64_t m, std::int64_t k,
+                  std::string out) {
+  return AddOp(g,
+               {.kind = OpKind::kMatMul, .name = std::move(name),
+                .layer = layer, .inputs = {w, in}, .m = m, .k = k},
+               std::move(out));
+}
+
+// Appends layer `l` (its weights, KV cache, attention and FFN blocks) on
+// the residual stream `x`; returns the layer's output residual stream.
+ValueId AddLayer(DecodeGraph& dg, std::int32_t l, ValueId x) {
+  const llama::ModelConfig& config = dg.config;
+  Graph& g = dg.graph;
+  const std::int64_t dim = config.dim;
+  const std::int64_t hidden = config.hidden_dim;
+  const std::int64_t kv_dim = config.kv_dim();
+  const std::int64_t seq = config.seq_len;
+  const std::int64_t att = static_cast<std::int64_t>(config.n_heads) * seq;
+  const std::int32_t heads = config.n_heads;
+  const std::int32_t head_dim = config.head_dim();
+
+  std::string p = "l";  // appended, not `"l" + ...` (GCC 12 -Wrestrict)
+  p += std::to_string(l);
+  p += '.';
+  auto weight = [&](const char* name, std::int64_t elements) {
+    return AddF32(g, p + name, ValueKind::kWeight, elements);
+  };
+  LayerValueIds ids;
+  ids.rms_att = weight("rms_att", dim);
+  ids.wq = weight("wq", dim * dim);
+  ids.wk = weight("wk", kv_dim * dim);
+  ids.wv = weight("wv", kv_dim * dim);
+  ids.wo = weight("wo", dim * dim);
+  ids.rms_ffn = weight("rms_ffn", dim);
+  ids.w1 = weight("w1", hidden * dim);
+  ids.w2 = weight("w2", dim * hidden);
+  ids.w3 = weight("w3", hidden * dim);
+  ids.k_cache = AddF32(g, p + "k_cache", ValueKind::kKvCache, seq * kv_dim);
+  ids.v_cache = AddF32(g, p + "v_cache", ValueKind::kKvCache, seq * kv_dim);
+  dg.layers.push_back(ids);
+
+  // Attention block.
+  ValueId xb = AddOp(g,
+                     {.kind = OpKind::kRmsNorm, .name = p + "rmsnorm.att",
+                      .layer = l, .inputs = {x, ids.rms_att}, .m = dim},
+                     p + "xb.att");
+  ValueId q = AddMatMul(g, p + "matmul.q", l, ids.wq, xb, dim, dim, p + "q");
+  ValueId k =
+      AddMatMul(g, p + "matmul.k", l, ids.wk, xb, kv_dim, dim, p + "k");
+  ValueId v =
+      AddMatMul(g, p + "matmul.v", l, ids.wv, xb, kv_dim, dim, p + "v");
+  ValueId q_rot = AddF32(g, p + "q.rot", ValueKind::kActivation, dim);
+  ValueId k_rot = AddF32(g, p + "k.rot", ValueKind::kActivation, kv_dim);
+  AddOp(g, {.kind = OpKind::kRope, .name = p + "rope", .layer = l,
+            .inputs = {q, k}, .outputs = {q_rot, k_rot}, .m = dim + kv_dim,
+            .head_dim = head_dim});
+  AddOp(g, {.kind = OpKind::kKvWrite, .name = p + "kv_write", .layer = l,
+            .inputs = {k_rot, v}, .outputs = {ids.k_cache, ids.v_cache},
+            .m = 2 * kv_dim});
+
+  // Decomposed attention (the fusion pass may group these three).
+  ValueId scores = AddOp(g,
+                         {.kind = OpKind::kAttScores, .name = p + "att.scores",
+                          .layer = l, .inputs = {q_rot, ids.k_cache},
+                          .m = att, .n_heads = heads, .head_dim = head_dim},
+                         p + "att.scores");
+  ValueId probs = AddOp(g,
+                        {.kind = OpKind::kSoftmax, .name = p + "att.softmax",
+                         .layer = l, .inputs = {scores}, .m = att,
+                         .n_heads = heads},
+                        p + "att.probs");
+  ValueId att_out = AddOp(g,
+                          {.kind = OpKind::kAttMix, .name = p + "att.mix",
+                           .layer = l, .inputs = {probs, ids.v_cache},
+                           .m = dim, .n_heads = heads, .head_dim = head_dim},
+                          p + "att.out");
+  ValueId xo =
+      AddMatMul(g, p + "matmul.o", l, ids.wo, att_out, dim, dim, p + "xo");
+  ValueId x_att = AddOp(g,
+                        {.kind = OpKind::kEltAdd, .name = p + "residual.att",
+                         .layer = l, .inputs = {x, xo}, .m = dim},
+                        p + "x.att");
+
+  // FFN block.
+  ValueId xb2 = AddOp(g,
+                      {.kind = OpKind::kRmsNorm, .name = p + "rmsnorm.ffn",
+                       .layer = l, .inputs = {x_att, ids.rms_ffn}, .m = dim},
+                      p + "xb.ffn");
+  ValueId hb =
+      AddMatMul(g, p + "matmul.w1", l, ids.w1, xb2, hidden, dim, p + "hb");
+  ValueId hb3 =
+      AddMatMul(g, p + "matmul.w3", l, ids.w3, xb2, hidden, dim, p + "hb3");
+  ValueId hs = AddOp(g,
+                     {.kind = OpKind::kSilu, .name = p + "silu", .layer = l,
+                      .inputs = {hb}, .m = hidden},
+                     p + "h.silu");
+  ValueId hg = AddOp(g,
+                     {.kind = OpKind::kEltMul, .name = p + "gate", .layer = l,
+                      .inputs = {hs, hb3}, .m = hidden},
+                     p + "h.gated");
+  ValueId xo2 =
+      AddMatMul(g, p + "matmul.w2", l, ids.w2, hg, dim, hidden, p + "xo2");
+  return AddOp(g,
+               {.kind = OpKind::kEltAdd, .name = p + "residual.ffn",
+                .layer = l, .inputs = {x_att, xo2}, .m = dim},
+               p + "x.ffn");
+}
+
+}  // namespace
+
 DecodeGraph BuildDecodeGraph(const llama::ModelConfig& config) {
   assert(config.Validate().ok());
   DecodeGraph dg;
   dg.config = config;
   Graph& g = dg.graph;
-
   const std::int64_t dim = config.dim;
-  const std::int64_t hidden = config.hidden_dim;
-  const std::int64_t kv_dim = config.kv_dim();
   const std::int64_t vocab = config.vocab_size;
-  const std::int64_t seq = config.seq_len;
-  const std::int32_t heads = config.n_heads;
-  const std::int32_t head_dim = config.head_dim();
 
-  auto weight = [&](std::string name, std::int64_t elements) {
-    return g.AddValue(std::move(name), ValueKind::kWeight, DType::kF32,
-                      elements);
-  };
-  auto act = [&](std::string name, std::int64_t elements) {
-    return g.AddValue(std::move(name), ValueKind::kActivation, DType::kF32,
-                      elements);
-  };
-
-  dg.token_embedding = weight("tok_emb", vocab * dim);
-  dg.rms_final = weight("rms_final", dim);
-  dg.wcls = config.shared_classifier ? dg.token_embedding
-                                     : weight("wcls", vocab * dim);
+  dg.token_embedding = AddF32(g, "tok_emb", ValueKind::kWeight, vocab * dim);
+  dg.rms_final = AddF32(g, "rms_final", ValueKind::kWeight, dim);
+  dg.wcls = config.shared_classifier
+                ? dg.token_embedding
+                : AddF32(g, "wcls", ValueKind::kWeight, vocab * dim);
 
   // Embedding lookup produces the initial residual stream.
-  ValueId x = act("x.embed", dim);
-  {
-    Op op;
-    op.kind = OpKind::kEmbedLookup;
-    op.name = "embed";
-    op.inputs = {dg.token_embedding};
-    op.outputs = {x};
-    op.m = dim;
-    g.AddOp(std::move(op));
-  }
-
-  auto matmul = [&](std::string name, std::int32_t layer, ValueId w,
-                    ValueId in, std::int64_t m, std::int64_t k,
-                    std::string out_name) {
-    ValueId out = act(std::move(out_name), m);
-    Op op;
-    op.kind = OpKind::kMatMul;
-    op.name = std::move(name);
-    op.layer = layer;
-    op.inputs = {w, in};
-    op.outputs = {out};
-    op.m = m;
-    op.k = k;
-    g.AddOp(std::move(op));
-    return out;
-  };
-
+  ValueId x = AddOp(g,
+                    {.kind = OpKind::kEmbedLookup, .name = "embed",
+                     .inputs = {dg.token_embedding}, .m = dim},
+                    "x.embed");
   dg.layers.reserve(config.n_layers);
-  for (std::int32_t l = 0; l < config.n_layers; ++l) {
-    std::string p = "l";  // appended, not `"l" + ...` (GCC 12 -Wrestrict)
-    p += std::to_string(l);
-    p += '.';
-    LayerValueIds ids;
-    ids.rms_att = weight(p + "rms_att", dim);
-    ids.wq = weight(p + "wq", dim * dim);
-    ids.wk = weight(p + "wk", kv_dim * dim);
-    ids.wv = weight(p + "wv", kv_dim * dim);
-    ids.wo = weight(p + "wo", dim * dim);
-    ids.rms_ffn = weight(p + "rms_ffn", dim);
-    ids.w1 = weight(p + "w1", hidden * dim);
-    ids.w2 = weight(p + "w2", dim * hidden);
-    ids.w3 = weight(p + "w3", hidden * dim);
-    ids.k_cache = g.AddValue(p + "k_cache", ValueKind::kKvCache, DType::kF32,
-                             seq * kv_dim);
-    ids.v_cache = g.AddValue(p + "v_cache", ValueKind::kKvCache, DType::kF32,
-                             seq * kv_dim);
-
-    // Attention block.
-    ValueId xb = act(p + "xb.att", dim);
-    {
-      Op op;
-      op.kind = OpKind::kRmsNorm;
-      op.name = p + "rmsnorm.att";
-      op.layer = l;
-      op.inputs = {x, ids.rms_att};
-      op.outputs = {xb};
-      op.m = dim;
-      g.AddOp(std::move(op));
-    }
-    ValueId q = matmul(p + "matmul.q", l, ids.wq, xb, dim, dim, p + "q");
-    ValueId k = matmul(p + "matmul.k", l, ids.wk, xb, kv_dim, dim, p + "k");
-    ValueId v = matmul(p + "matmul.v", l, ids.wv, xb, kv_dim, dim, p + "v");
-
-    ValueId q_rot = act(p + "q.rot", dim);
-    ValueId k_rot = act(p + "k.rot", kv_dim);
-    {
-      Op op;
-      op.kind = OpKind::kRope;
-      op.name = p + "rope";
-      op.layer = l;
-      op.inputs = {q, k};
-      op.outputs = {q_rot, k_rot};
-      op.m = dim + kv_dim;
-      op.head_dim = head_dim;
-      g.AddOp(std::move(op));
-    }
-    {
-      Op op;
-      op.kind = OpKind::kKvWrite;
-      op.name = p + "kv_write";
-      op.layer = l;
-      op.inputs = {k_rot, v};
-      op.outputs = {ids.k_cache, ids.v_cache};
-      op.m = 2 * kv_dim;
-      g.AddOp(std::move(op));
-    }
-
-    // Decomposed attention (the fusion pass may group these three).
-    ValueId scores = act(p + "att.scores", static_cast<std::int64_t>(heads) * seq);
-    {
-      Op op;
-      op.kind = OpKind::kAttScores;
-      op.name = p + "att.scores";
-      op.layer = l;
-      op.inputs = {q_rot, ids.k_cache};
-      op.outputs = {scores};
-      op.n_heads = heads;
-      op.head_dim = head_dim;
-      op.m = static_cast<std::int64_t>(heads) * seq;
-      g.AddOp(std::move(op));
-    }
-    ValueId probs = act(p + "att.probs", static_cast<std::int64_t>(heads) * seq);
-    {
-      Op op;
-      op.kind = OpKind::kSoftmax;
-      op.name = p + "att.softmax";
-      op.layer = l;
-      op.inputs = {scores};
-      op.outputs = {probs};
-      op.n_heads = heads;
-      op.m = static_cast<std::int64_t>(heads) * seq;
-      g.AddOp(std::move(op));
-    }
-    ValueId att_out = act(p + "att.out", dim);
-    {
-      Op op;
-      op.kind = OpKind::kAttMix;
-      op.name = p + "att.mix";
-      op.layer = l;
-      op.inputs = {probs, ids.v_cache};
-      op.outputs = {att_out};
-      op.n_heads = heads;
-      op.head_dim = head_dim;
-      op.m = dim;
-      g.AddOp(std::move(op));
-    }
-
-    ValueId xo = matmul(p + "matmul.o", l, ids.wo, att_out, dim, dim, p + "xo");
-    ValueId x_att = act(p + "x.att", dim);
-    {
-      Op op;
-      op.kind = OpKind::kEltAdd;
-      op.name = p + "residual.att";
-      op.layer = l;
-      op.inputs = {x, xo};
-      op.outputs = {x_att};
-      op.m = dim;
-      g.AddOp(std::move(op));
-    }
-
-    // FFN block.
-    ValueId xb2 = act(p + "xb.ffn", dim);
-    {
-      Op op;
-      op.kind = OpKind::kRmsNorm;
-      op.name = p + "rmsnorm.ffn";
-      op.layer = l;
-      op.inputs = {x_att, ids.rms_ffn};
-      op.outputs = {xb2};
-      op.m = dim;
-      g.AddOp(std::move(op));
-    }
-    ValueId hb = matmul(p + "matmul.w1", l, ids.w1, xb2, hidden, dim, p + "hb");
-    ValueId hb3 = matmul(p + "matmul.w3", l, ids.w3, xb2, hidden, dim, p + "hb3");
-    ValueId hs = act(p + "h.silu", hidden);
-    {
-      Op op;
-      op.kind = OpKind::kSilu;
-      op.name = p + "silu";
-      op.layer = l;
-      op.inputs = {hb};
-      op.outputs = {hs};
-      op.m = hidden;
-      g.AddOp(std::move(op));
-    }
-    ValueId hg = act(p + "h.gated", hidden);
-    {
-      Op op;
-      op.kind = OpKind::kEltMul;
-      op.name = p + "gate";
-      op.layer = l;
-      op.inputs = {hs, hb3};
-      op.outputs = {hg};
-      op.m = hidden;
-      g.AddOp(std::move(op));
-    }
-    ValueId xo2 = matmul(p + "matmul.w2", l, ids.w2, hg, dim, hidden, p + "xo2");
-    ValueId x_ffn = act(p + "x.ffn", dim);
-    {
-      Op op;
-      op.kind = OpKind::kEltAdd;
-      op.name = p + "residual.ffn";
-      op.layer = l;
-      op.inputs = {x_att, xo2};
-      op.outputs = {x_ffn};
-      op.m = dim;
-      g.AddOp(std::move(op));
-    }
-    x = x_ffn;
-    dg.layers.push_back(ids);
-  }
+  for (std::int32_t l = 0; l < config.n_layers; ++l) x = AddLayer(dg, l, x);
 
   // Final norm + classifier.
-  ValueId xf = act("x.final", dim);
-  {
-    Op op;
-    op.kind = OpKind::kRmsNorm;
-    op.name = "rmsnorm.final";
-    op.inputs = {x, dg.rms_final};
-    op.outputs = {xf};
-    op.m = dim;
-    g.AddOp(std::move(op));
-  }
+  ValueId xf = AddOp(g,
+                     {.kind = OpKind::kRmsNorm, .name = "rmsnorm.final",
+                      .inputs = {x, dg.rms_final}, .m = dim},
+                     "x.final");
   dg.logits = g.AddValue("logits", ValueKind::kOutput, DType::kF32, vocab);
-  {
-    Op op;
-    op.kind = OpKind::kMatMul;
-    op.name = "matmul.cls";
-    op.inputs = {dg.wcls, xf};
-    op.outputs = {dg.logits};
-    op.m = vocab;
-    op.k = dim;
-    g.AddOp(std::move(op));
-  }
+  AddOp(g, {.kind = OpKind::kMatMul, .name = "matmul.cls",
+            .inputs = {dg.wcls, xf}, .outputs = {dg.logits}, .m = vocab,
+            .k = dim});
   dg.x = x;
   return dg;
 }

@@ -50,7 +50,6 @@ enum class OpKind {
   kMatMul,        // out[M] = W[M,K] * in[K]
   kRope,          // rotates q and k in place
   kKvWrite,       // appends k,v rows to the cache at pos
-  kAttention,     // fused scores+softmax+mix over the KV cache
   kAttScores,     // unfused: scores[t] = q . k[t] / sqrt(hd)
   kSoftmax,       // unfused: softmax over scores
   kAttMix,        // unfused: out = sum_t scores[t] * v[t]
@@ -68,8 +67,8 @@ struct Op {
   OpKind kind = OpKind::kMatMul;
   std::string name;
   std::int32_t layer = -1;  // -1 for embed/final ops
-  std::vector<ValueId> inputs;
-  std::vector<ValueId> outputs;
+  std::vector<ValueId> inputs = {};
+  std::vector<ValueId> outputs = {};
 
   // Matmul geometry: out[m] = W[m, k] * x[k]. The weight value id is
   // always inputs[0] for kMatMul.

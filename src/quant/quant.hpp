@@ -51,6 +51,13 @@ void MatMulQ8(std::span<float> out, const QuantizedTensor& w,
               std::span<const float> x, std::int64_t d, std::int64_t n,
               ThreadPool* pool = nullptr);
 
+/// Rows [row_begin, row_end) of MatMulQ8: writes out[i] for each row i in
+/// the range, with `out` spanning all rows. Rows hold whole groups, so a
+/// row range (one matmul tile) is a self-contained sub-problem.
+void MatMulQ8Rows(std::span<float> out, const QuantizedTensor& w,
+                  std::span<const float> x, std::int64_t n,
+                  std::int64_t row_begin, std::int64_t row_end);
+
 /// Fully-quantized path: activations also int8 (llama2.c runq style).
 /// Integer accumulation within each group, rescaled by both scales.
 void MatMulQ8Q8(std::span<float> out, const QuantizedTensor& w,
