@@ -8,20 +8,6 @@
 
 namespace speedllm::accel {
 
-namespace {
-
-/// Largest group size <= 64 that divides k (so every weight row holds
-/// whole quantization groups).
-std::int32_t PickGroupSize(std::int64_t k) {
-  for (std::int32_t g = static_cast<std::int32_t>(std::min<std::int64_t>(64, k));
-       g > 1; --g) {
-    if (k % g == 0) return g;
-  }
-  return 1;
-}
-
-}  // namespace
-
 TokenRunStats& TokenRunStats::operator+=(const TokenRunStats& o) {
   cycles += o.cycles;
   seconds += o.seconds;
@@ -69,7 +55,7 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
       graph::ValueId w_id = op.inputs[0];
       if (quant_map_.count(w_id)) continue;
       auto span = weight_map_.at(w_id);
-      auto qt = quant::Quantize(span, Shape{op.m, op.k}, PickGroupSize(op.k));
+      auto qt = quant::Quantize(span, Shape{op.m, op.k}, quant::PickGroupSize(op.k));
       assert(qt.ok());
       quant_map_.emplace(w_id, std::move(qt).value());
     }

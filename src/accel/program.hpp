@@ -32,7 +32,6 @@ struct ExecConfig {
   std::uint32_t dma_setup_cycles = 24;
 
   bool int8_weights = false;
-  std::int32_t quant_group_size = 64;
 };
 
 /// Static per-program statistics the compiler fills in.

@@ -8,6 +8,7 @@
 #include "common/logging.hpp"
 #include "compiler/allocator.hpp"
 #include "compiler/fusion.hpp"
+#include "quant/quant.hpp"
 
 namespace speedllm::compiler {
 
@@ -58,12 +59,11 @@ ChannelGroups AssignChannels(const CompilerOptions& opt,
   return {Channels{0, wc}, Channels{wc, kc}, Channels{wc + kc, ac}};
 }
 
-/// Bytes a weight matrix row occupies in HBM (int8 adds group scales).
+/// Bytes a weight matrix row occupies in HBM: fp32, or int8 plus one fp32
+/// scale per group of the size the executor quantizes with.
 std::uint64_t WeightRowBytes(std::int64_t k, bool int8_weights) {
-  constexpr std::int64_t kGroupSize = 64;
   if (!int8_weights) return static_cast<std::uint64_t>(k) * 4;
-  return static_cast<std::uint64_t>(k) +
-         static_cast<std::uint64_t>((k + kGroupSize - 1) / kGroupSize) * 4;
+  return static_cast<std::uint64_t>(k + k / quant::PickGroupSize(k) * 4);
 }
 
 /// Per-op worst-case SFU element operations.

@@ -1,9 +1,18 @@
 #include "quant/quant.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 namespace speedllm::quant {
+
+std::int32_t PickGroupSize(std::int64_t k) {
+  for (auto g = static_cast<std::int32_t>(std::min<std::int64_t>(64, k));
+       g > 1; --g) {
+    if (k % g == 0) return g;
+  }
+  return 1;
+}
 
 StatusOr<QuantizedTensor> Quantize(std::span<const float> x, Shape shape,
                                    std::int32_t group_size) {

@@ -28,6 +28,12 @@ struct QuantizedTensor {
   }
 };
 
+/// The group size for a weight matrix with `k` columns: the largest size
+/// <= 64 that divides k, so every row holds whole groups (48 for k = 288).
+/// The compiler charges weight DMA for it and the executor quantizes with
+/// it.
+std::int32_t PickGroupSize(std::int64_t k);
+
 /// Quantizes `x` into groups of `group_size` (must divide x.size()).
 /// Each group's scale is max|x|/127, so the representable range is
 /// symmetric and no element clips.
