@@ -203,6 +203,9 @@ class Engine {
   /// hit/eviction/copy-on-write stats -- how multi-turn clients observe
   /// their conversation history being reused across turns.
   serving::KvPoolStats kv_pool_stats(int card) const;
+  /// `card`'s KV pool, or null without a session or for a card outside
+  /// [0, num_cards()).
+  const serving::KvBlockPool* CardPool(int card) const;
   /// The session's card-to-card interconnect (per-link byte counters,
   /// local DMA totals). Null before construction succeeds.
   const serving::Interconnect* interconnect() const;
@@ -244,10 +247,6 @@ class Engine {
     StreamCallbacks callbacks;
     bool finished = false;
   };
-
-  /// `card`'s KV pool, or null without a session or for a card outside
-  /// [0, num_cards()).
-  const serving::KvBlockPool* CardPool(int card) const;
 
   const accel::Program& program_;
   const llama::Weights& weights_;

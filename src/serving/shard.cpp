@@ -720,6 +720,7 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
     return FailedPrecondition("stream " + std::to_string(stream_index) +
                               " already finished");
   }
+  const bool healthy = error_.ok();
   if (seq.state == SeqState::kDone) {
     // Finished internally -- but if the finish emission has not been
     // delivered yet, the client has observed nothing final and the
@@ -785,7 +786,9 @@ Status ShardScheduler::Abort(std::size_t stream_index) {
     const RequestOutcome outcome = seq.outcome;
     on_finish_(stream_index, FinishReason::kCancelled, outcome, now_s);
   }
-  return Status::Ok();
+  // The cancel completes either way; a pool release that failed during it
+  // is also the caller's answer, not only Finalize's.
+  return healthy ? error_ : Status::Ok();
 }
 
 void ShardScheduler::DeliverEmissions() {

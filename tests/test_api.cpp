@@ -365,6 +365,34 @@ TEST(ApiEngineTest, CancelWinsTheRaceAgainstAnUndeliveredFinish) {
             FinishReason::kCancelled);
 }
 
+TEST(ApiEngineTest, CancelReportsAFailedPoolRelease) {
+  // Dropping the card's pool sequence behind the engine's back makes the
+  // cancel's own release fail. The cancel still completes, and Cancel
+  // returns the failure rather than OK (Finish reports it too).
+  Fixture f;
+  auto prog = f.Compile();
+  Engine engine(prog, f.weights, f.u280, EngineConfig{});
+  std::map<std::uint64_t, StreamLog> logs;
+  StreamCallbacks callbacks = Record(logs);
+  Status cancel_status;
+  callbacks.on_token = [&](RequestHandle h, std::int32_t token, double) {
+    logs[h.id].tokens.push_back(token);
+    if (logs[h.id].tokens.size() == 1) {
+      auto* pool = const_cast<serving::KvBlockPool*>(engine.CardPool(0));
+      ASSERT_TRUE(pool->Release(0).ok());
+      cancel_status = engine.Cancel(h);
+    }
+  };
+  auto h = engine.Submit(MakeRequest(4, 8, 0.0, 1), callbacks);
+  ASSERT_TRUE(h.ok());
+  engine.RunToCompletion();
+
+  EXPECT_EQ(cancel_status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(logs[h->id].finish, FinishReason::kCancelled);
+  EXPECT_EQ(logs[h->id].finishes, 1);
+  EXPECT_EQ(engine.Finish().status().code(), StatusCode::kNotFound);
+}
+
 TEST(ApiEngineTest, CancelBeforeArrivalSuppressesTheRequestEntirely) {
   Fixture f;
   auto prog = f.Compile();

@@ -276,9 +276,10 @@ TEST(SchedulerTest, ScarceBudgetFundsDecodeInPinnedOrder) {
 }
 
 TEST(SchedulerTest, FailedPoolReleaseSurfacesInFinalize) {
-  // A failed pool call must reach Finalize in every build type, not only
-  // trip a debug assert. Dropping the shard's pool sequence behind its
-  // back makes the cancel's own release fail.
+  // A failed pool call must reach the caller in every build type, not
+  // only trip a debug assert. Dropping the shard's pool sequence behind
+  // its back makes the cancel's own release fail: the cancel still
+  // completes, and both Abort and Finalize report the failure.
   Fixture f;
   auto prog = f.Compile();
   sim::Engine engine;
@@ -290,7 +291,8 @@ TEST(SchedulerTest, FailedPoolReleaseSurfacesInFinalize) {
   engine.RunUntil(0);  // the first tick admits and prefills the request
   ASSERT_EQ(shard.num_residents(), 1);
   ASSERT_TRUE(shard.mutable_pool().Release(0).ok());
-  EXPECT_TRUE(shard.Abort(0).ok());
+  EXPECT_EQ(shard.Abort(0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(shard.num_residents(), 0);
   EXPECT_EQ(shard.Finalize().code(), StatusCode::kNotFound);
 }
 
