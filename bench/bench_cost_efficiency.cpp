@@ -4,7 +4,7 @@
 // V100S ($12,000) and A100 ($17,000). The FPGA throughput is measured on
 // the simulated accelerator; the GPU numbers come from the analytic
 // decode models in src/baseline (launch-overhead-bound for a model this
-// small -- see DESIGN.md substitutions).
+// small -- see docs/ARCHITECTURE.md "Substitutions").
 #include <cstdio>
 
 #include "baseline/gpu_model.hpp"

@@ -3,7 +3,8 @@
 // Reproduces the paper's latency comparison: total inference time of the
 // four accelerator variants over a sweep of prompt lengths, normalized to
 // the unoptimized accelerator. The paper reports a speedup of up to 4.8x
-// for the full SpeedLLM configuration.
+// for the full SpeedLLM configuration. `--json PATH` writes the max
+// speedup for the CI gate (ci/perf_floor.json, bench "fig2a_latency").
 #include <cstdio>
 #include <map>
 
@@ -14,7 +15,7 @@ using namespace speedllm;
 
 int main(int argc, char** argv) {
   auto cl_or = CommandLine::Parse(
-      argc, argv, {"preset", "decode", "prefills", "csv", "int8"});
+      argc, argv, {"preset", "decode", "prefills", "csv", "int8", "json"});
   if (!cl_or.ok()) {
     std::fprintf(stderr, "%s\n", cl_or.status().ToString().c_str());
     return 1;
@@ -87,5 +88,11 @@ int main(int argc, char** argv) {
   }
   std::printf("\nmax speedup over Unoptimized: %.2fx  (paper: up to 4.8x)\n",
               best_speedup);
+  const std::string json = cl.GetString("json", "");
+  if (!json.empty() &&
+      !bench::WriteBenchJson(json, "fig2a_latency",
+                             {{"max_speedup", best_speedup}})) {
+    return 1;
+  }
   return 0;
 }

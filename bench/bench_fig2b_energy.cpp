@@ -4,6 +4,8 @@
 // normalized): SpeedLLM vs the non-parallel ("none parallel tech. one")
 // and non-fused ("none fused one") variants and the unoptimized baseline.
 // Paper: 1.18x better than unoptimized, 1.01x better than no-fuse.
+// `--json PATH` writes both ratios for the CI gate (ci/perf_floor.json,
+// bench "fig2b_energy").
 #include <cstdio>
 #include <map>
 
@@ -12,8 +14,8 @@
 using namespace speedllm;
 
 int main(int argc, char** argv) {
-  auto cl_or =
-      CommandLine::Parse(argc, argv, {"preset", "decode", "prefill", "csv"});
+  auto cl_or = CommandLine::Parse(
+      argc, argv, {"preset", "decode", "prefill", "csv", "json"});
   if (!cl_or.ok()) {
     std::fprintf(stderr, "%s\n", cl_or.status().ToString().c_str());
     return 1;
@@ -64,12 +66,15 @@ int main(int argc, char** argv) {
   }
 
   const double ours = metrics[runtime::Variant::kSpeedLLM].tokens_per_joule();
+  const double vs_unoptimized =
+      ours / metrics[runtime::Variant::kUnoptimized].tokens_per_joule();
+  const double vs_nofuse =
+      ours / metrics[runtime::Variant::kNoFuse].tokens_per_joule();
   std::printf(
       "\nSpeedLLM vs Unoptimized: %.3fx  (paper: 1.18x)\n"
       "SpeedLLM vs NoFuse:      %.3fx  (paper: 1.01x)\n"
       "SpeedLLM vs NoPipeline:  %.3fx\n",
-      ours / metrics[runtime::Variant::kUnoptimized].tokens_per_joule(),
-      ours / metrics[runtime::Variant::kNoFuse].tokens_per_joule(),
+      vs_unoptimized, vs_nofuse,
       ours / metrics[runtime::Variant::kNoPipeline].tokens_per_joule());
   std::printf("\nenergy breakdown (SpeedLLM): %s\n",
               metrics[runtime::Variant::kSpeedLLM].energy.ToString().c_str());
@@ -77,5 +82,13 @@ int main(int argc, char** argv) {
               metrics[runtime::Variant::kUnoptimized].energy.ToString().c_str());
   std::printf("energy breakdown (NoFuse): %s\n",
               metrics[runtime::Variant::kNoFuse].energy.ToString().c_str());
+  const std::string json = cl.GetString("json", "");
+  if (!json.empty() &&
+      !bench::WriteBenchJson(
+          json, "fig2b_energy",
+          {{"tokens_per_joule_vs_unoptimized", vs_unoptimized},
+           {"tokens_per_joule_vs_nofuse", vs_nofuse}})) {
+    return 1;
+  }
   return 0;
 }

@@ -1,12 +1,13 @@
 // SpeedLLM -- shared helpers for the benchmark harnesses.
 //
-// Every bench binary reproduces one table/figure of the paper (see
-// DESIGN.md per-experiment index). The helpers here build the synthetic
+// Every bench binary reproduces one paper table/figure or one serving
+// experiment (see docs/BENCHMARKS.md). The helpers here build the synthetic
 // stories15M workload, run one variant end to end, and serve a request
 // trace offline through api::RunOffline.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,11 +49,17 @@ inline bool WriteBenchJson(
   return true;
 }
 
-/// Parses the common bench flags (--preset, --seed).
+/// Maps the common --preset flag to a model shape. An unknown name exits
+/// with status 1, so a typo cannot silently run another model.
 inline llama::ModelConfig PresetFromFlag(const std::string& preset) {
   if (preset == "tiny") return llama::ModelConfig::Tiny();
+  if (preset == "stories15m") return llama::ModelConfig::Stories15M();
   if (preset == "stories110m") return llama::ModelConfig::Stories110M();
-  return llama::ModelConfig::Stories15M();
+  std::fprintf(stderr,
+               "unknown --preset '%s' (expected tiny, stories15m or "
+               "stories110m)\n",
+               preset.c_str());
+  std::exit(1);
 }
 
 /// Deterministic prompt token ids (synthetic "story opening").
