@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/logging.hpp"
@@ -302,9 +303,9 @@ class Emitter {
 
   // HBM -> on-chip after the group's launch (plus `dep`, if any).
   InstrId Load(OpId op, ValueId v, std::uint64_t bytes, Stream s,
-               std::string label, const InstrId* dep = nullptr) {
+               std::string label, std::optional<InstrId> dep = {}) {
     std::vector<InstrId> deps = {launch_};
-    if (dep != nullptr) deps.push_back(*dep);
+    if (dep) deps.push_back(*dep);
     return Dma(Opcode::kDmaLoad, Unit::kDmaIn, op, v, bytes, s,
                std::move(deps), std::move(label));
   }
@@ -327,9 +328,10 @@ class Emitter {
   }
 
   // The last store of `v` (activation spill or KV write), if any.
-  const InstrId* StoreOf(ValueId v) const {
+  std::optional<InstrId> StoreOf(ValueId v) const {
     auto it = store_of_.find(v);
-    return it == store_of_.end() ? nullptr : &it->second;
+    if (it == store_of_.end()) return std::nullopt;
+    return it->second;
   }
 
   // Appends the dependencies on activation `v`: its producers when they
@@ -398,8 +400,8 @@ class Emitter {
       const InstrId ld =
           Load(op.id, op.inputs[0], bytes, kWeightStream,
                "load." + op.name + tile,
-               t >= n_buf ? &computes[static_cast<std::size_t>(t - n_buf)]
-                          : nullptr);
+               t >= n_buf ? std::optional<InstrId>(computes[t - n_buf])
+                          : std::nullopt);
       Instr cp;
       cp.unit = Unit::kMpe;
       cp.compute = ComputeKind::kMatMulTile;
