@@ -402,9 +402,7 @@ class Emitter {
                "load." + op.name + tile,
                t >= n_buf ? std::optional<InstrId>(computes[t - n_buf])
                           : std::nullopt);
-      Instr cp;
-      cp.unit = Unit::kMpe;
-      cp.compute = ComputeKind::kMatMulTile;
+      Instr cp = Work(op, Unit::kMpe);
       cp.row_begin = r0;
       cp.row_end = r1;
       cp.macs = (r1 - r0) * op.k;
@@ -421,7 +419,7 @@ class Emitter {
     const std::uint64_t row = static_cast<std::uint64_t>(op.m) * 4;
     const InstrId ld = Load(op.id, op.inputs[0], row, kWeightStream,
                             "load.emb_row");
-    Instr cp = Sfu(op);
+    Instr cp = Work(op, Unit::kSfu);
     cp.onchip_bytes = row * 2;
     cp.deps = {ld};
     prod_instrs_[op.outputs[0]] = {Compute(op, std::move(cp), op.name)};
@@ -432,7 +430,7 @@ class Emitter {
     const auto& gain = g_.value(op.inputs[1]);
     const InstrId ld = Load(op.id, op.inputs[1], gain.bytes(), kWeightStream,
                             "load." + gain.name);
-    Instr cp = Sfu(op);
+    Instr cp = Work(op, Unit::kSfu);
     cp.onchip_bytes = static_cast<std::uint64_t>(op.m) * 4 * 3;
     cp.deps = {ld};
     InputDeps(op.inputs[0], cp.deps);
@@ -446,9 +444,7 @@ class Emitter {
     const auto& val = g_.value(cache);
     const InstrId ld = Load(op.id, cache, val.bytes(), kKvStream,
                             "stream." + val.name, StoreOf(cache));
-    Instr cp;
-    cp.unit = Unit::kMpe;
-    cp.compute = ComputeKindFor(op.kind);
+    Instr cp = Work(op, Unit::kMpe);
     cp.macs = static_cast<std::int64_t>(op.n_heads) *
               fg_.dg.config.seq_len * op.head_dim;
     cp.seq_scaled = true;
@@ -460,7 +456,7 @@ class Emitter {
 
   // Writes the k and v rows and stores both cache regions at once.
   void EmitKvWrite(const Op& op) {
-    Instr cp = Sfu(op);
+    Instr cp = Work(op, Unit::kSfu);
     cp.onchip_bytes = static_cast<std::uint64_t>(op.m) * 4;
     InputDeps(op.inputs[0], cp.deps);
     InputDeps(op.inputs[1], cp.deps);
@@ -473,7 +469,7 @@ class Emitter {
 
   // SFU elementwise ops: rope/softmax/silu/add/mul.
   void EmitElementwise(const Op& op) {
-    Instr cp = Sfu(op);
+    Instr cp = Work(op, Unit::kSfu);
     cp.seq_scaled = op.kind == OpKind::kSoftmax;  // scores follow pos
     cp.onchip_bytes = static_cast<std::uint64_t>(op.m) * 4 * 2;
     for (ValueId in : op.inputs) InputDeps(in, cp.deps);
@@ -481,9 +477,11 @@ class Emitter {
     for (ValueId out : op.outputs) prod_instrs_[out] = {id};
   }
 
-  static Instr Sfu(const Op& op) {
+  // The compute kind and SFU cost of `op` on `unit`; callers add the
+  // rest before handing it to Compute.
+  static Instr Work(const Op& op, Unit unit) {
     Instr cp;
-    cp.unit = Unit::kSfu;
+    cp.unit = unit;
     cp.compute = ComputeKindFor(op.kind);
     cp.sfu_ops = SfuOpsFor(op);
     return cp;
