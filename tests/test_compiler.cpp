@@ -8,6 +8,7 @@
 #include "compiler/compiler.hpp"
 #include "quant/quant.hpp"
 #include "runtime/variants.hpp"
+#include "test_util.hpp"
 
 namespace speedllm::compiler {
 namespace {
@@ -245,35 +246,8 @@ TEST(CompilerTest, StoresUseSingleEngineWhenSerialized) {
   EXPECT_TRUE(any_out);
 }
 
-// FNV-1a over a compiled program. Enums are hashed by name, never by
-// integer value, so reordering or deleting an enumerator cannot move a
-// digest on its own.
-class Fnv1a {
- public:
-  void Bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 0x100000001b3ull;
-    }
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      const unsigned char b = static_cast<unsigned char>(v >> (8 * i));
-      Bytes(&b, 1);
-    }
-  }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void Str(std::string_view s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ull;
-};
-
+// Enums are hashed by name, never by integer value, so reordering or
+// deleting an enumerator cannot move a digest on its own.
 std::string_view OpcodeName(Opcode op) {
   switch (op) {
     case Opcode::kLaunch: return "launch";
@@ -313,7 +287,7 @@ std::string_view ValueKindName(graph::ValueKind k) {
   return "?";
 }
 
-void HashGraph(const graph::DecodeGraph& dg, Fnv1a& h) {
+void HashGraph(const graph::DecodeGraph& dg, testutil::Fnv1a& h) {
   for (const auto& v : dg.graph.values()) {
     h.I64(v.id);
     h.Str(v.name);
@@ -351,7 +325,7 @@ void HashGraph(const graph::DecodeGraph& dg, Fnv1a& h) {
 /// resource ledger (its report and per-tag usage).
 std::uint64_t ProgramDigest(const CompileResult& cr) {
   const accel::Program& p = cr.program;
-  Fnv1a h;
+  testutil::Fnv1a h;
   h.Str(p.model.ToString());
   HashGraph(p.dg, h);
   for (const Instr& in : p.instrs) {

@@ -177,26 +177,20 @@ struct FuzzRun {
 /// the scheduler, where the replay-vs-replay check only pins a build
 /// against itself.
 std::uint64_t Digest(const FuzzRun& run) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
-  };
+  testutil::Fnv1a h;
   for (const std::vector<std::int32_t>& stream : run.streams) {
-    mix(stream.size());
-    for (std::int32_t token : stream) mix(static_cast<std::uint64_t>(token));
+    h.U64(stream.size());
+    for (std::int32_t token : stream) h.I64(token);
   }
-  for (int finish : run.finishes) mix(static_cast<std::uint64_t>(finish));
-  mix(std::bit_cast<std::uint64_t>(run.makespan));
+  for (int finish : run.finishes) h.I64(finish);
+  h.U64(std::bit_cast<std::uint64_t>(run.makespan));
   for (std::int64_t counter :
        {run.total_tokens, run.spec_draft, run.spec_accepted, run.dma_bytes,
         run.cancelled, run.ticks, run.preemptions, run.recomputed,
         run.spec_wasted, run.cache_hit_tokens}) {
-    mix(static_cast<std::uint64_t>(counter));
+    h.I64(counter);
   }
-  return h;
+  return h.value();
 }
 
 void RunSchedulerFuzzOnce(const accel::Program& prog,

@@ -1,4 +1,5 @@
-// Shared test helpers: seeded-harness banners and trace projections.
+// Shared test helpers: seeded-harness banners, trace projections and
+// FNV-1a digests.
 //
 // The one rule every seeded suite follows: a failure must print the RNG
 // seed that produced it, so the exact failing run can be replayed by
@@ -14,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -55,6 +57,31 @@ inline std::vector<TickComposition> TicksFromTrace(
   }
   return ticks;
 }
+
+/// FNV-1a, for digests that pin a result across versions of the code.
+/// Integers are mixed as 8 little-endian bytes; strings as their length
+/// then their bytes.
+class Fnv1a {
+ public:
+  void U64(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (v >> (8 * byte)) & 0xffu;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
+  void Str(std::string_view s) {
+    U64(s.size());
+    for (unsigned char c : s) {
+      h_ ^= c;
+      h_ *= 0x100000001b3ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ull;
+};
 
 }  // namespace speedllm::testutil
 
