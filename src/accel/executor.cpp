@@ -55,7 +55,8 @@ Executor::Executor(const Program& program, const llama::Weights& weights,
       graph::ValueId w_id = op.inputs[0];
       if (quant_map_.count(w_id)) continue;
       auto span = weight_map_.at(w_id);
-      auto qt = quant::Quantize(span, Shape{op.m, op.k}, quant::PickGroupSize(op.k));
+      auto qt = quant::Quantize(span, Shape{op.m, op.k},
+                                quant::PickGroupSize(op.k));
       assert(qt.ok());
       quant_map_.emplace(w_id, std::move(qt).value());
     }
