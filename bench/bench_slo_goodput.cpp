@@ -129,16 +129,15 @@ int main(int argc, char** argv) {
     api::EngineConfig cluster;
     cluster.telemetry.enable_tracing = true;  // goodput's only source
     cluster.telemetry.enable_metrics = true;
-    cluster.scheduler.tier_slo = slo;
+    cluster.tier_slo = slo;
     if (tiered) {
       cluster.scheduler.enable_tiers = true;
-      cluster.scheduler.admission.enable = true;
       // Refill at exactly the card's serving rate, with a burst of ~10
       // mean requests: at 2x offered load the bucket drains past the
       // best-effort reserve within a few arrivals and stays pinned
       // there, so the shed pressure lands on the lowest tier.
-      cluster.scheduler.admission.rate_tokens_per_second = capacity_tok_s;
-      cluster.scheduler.admission.burst_tokens = tokens_per_req * 10.0;
+      cluster.admission.rate_tokens_per_second = capacity_tok_s;
+      cluster.admission.burst_tokens = tokens_per_req * 10.0;
     }
     return bench::RunCards(program, weights, u280, 1, cluster, sampler, reqs);
   };

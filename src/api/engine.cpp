@@ -10,22 +10,6 @@
 
 namespace speedllm::api {
 
-namespace {
-
-serving::ClusterConfig ToClusterConfig(const EngineConfig& config) {
-  serving::ClusterConfig cluster;
-  cluster.placement = config.placement;
-  cluster.shard = config.scheduler;
-  cluster.kv_pool_bytes_per_card = config.kv_pool_bytes_per_card;
-  cluster.rebalance_queued = config.rebalance_queued;
-  cluster.telemetry = config.telemetry;
-  cluster.shard_roles = config.shard_roles;
-  cluster.prefix_fetch = config.prefix_fetch;
-  return cluster;
-}
-
-}  // namespace
-
 Engine::Engine(const accel::Program& program, const llama::Weights& weights,
                const hw::U280Config& u280, EngineConfig config)
     : Engine(program, weights,
@@ -41,22 +25,11 @@ Engine::Engine(const accel::Program& program, const llama::Weights& weights,
       config_(std::move(config)) {
   setup_ = cards_.Validate();
   if (setup_.ok()) {
-    setup_ = serving::ValidateClusterRoles(ToClusterConfig(config_),
-                                           cards_.num_cards());
-  }
-  if (setup_.ok()) {
-    // Out-of-range knobs are clamped by NormalizeSchedulerConfig; only
-    // non-finite values are unrecoverable.
-    const serving::SpeculativeConfig& spec = config_.scheduler.speculative;
-    if (spec.draft_tokens > 0 && (!std::isfinite(spec.acceptance_rate) ||
-                                  !std::isfinite(spec.draft_cost_ratio))) {
-      setup_ = InvalidArgument(
-          "speculative acceptance_rate / draft_cost_ratio must be finite");
-    }
+    setup_ = serving::ValidateClusterConfig(config_, cards_.num_cards());
   }
   if (!setup_.ok()) return;
-  session_ = std::make_unique<serving::ClusterSession>(
-      program_, weights_, cards_, ToClusterConfig(config_), config_.sampler);
+  session_ = std::make_unique<serving::ClusterSession>(program_, weights_,
+                                                       cards_, config_);
   session_->set_emission_hooks(
       [this](std::size_t stream, std::int32_t token, double t) {
         const Entry& entry = entries_[stream];

@@ -25,12 +25,10 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "accel/program.hpp"
 #include "common/status.hpp"
 #include "hw/cluster.hpp"
-#include "llama/sampler.hpp"
 #include "llama/weights.hpp"
 #include "obs/telemetry.hpp"
 #include "serving/cluster.hpp"
@@ -76,7 +74,7 @@ struct StreamCallbacks {
       on_token;
   /// Fires exactly once, after the last token, with the finish reason
   /// and final outcome (valid for the duration of the callback). A
-  /// request rejected by admission control (SchedulerConfig::admission)
+  /// request rejected by admission control (ClusterConfig::admission)
   /// fires this with FinishReason::kShed at its arrival time, having
   /// emitted no tokens.
   std::function<void(RequestHandle handle, FinishReason reason,
@@ -84,40 +82,12 @@ struct StreamCallbacks {
       on_finish;
 };
 
-/// Construction-time engine parameters (cards, scheduling, sampling).
-struct EngineConfig {
+/// Construction-time engine parameters: every cluster setting (see
+/// serving::ClusterConfig) plus the card count.
+struct EngineConfig : serving::ClusterConfig {
   /// Cards to shard across (U280Config constructor only; the
   /// MultiCardConfig constructor derives it from the card list).
   int num_cards = 1;
-  /// Per-card scheduler knobs, including the KV-cache storage dtype
-  /// (serving::SchedulerConfig::kv_cache_dtype) and simulated DMA
-  /// costing (charge_dma_cost).
-  serving::SchedulerConfig scheduler;
-  /// Which card each arriving request is routed to.
-  serving::PlacementPolicy placement = serving::PlacementPolicy::kRoundRobin;
-  /// Default sampling parameters; per-request streams are seeded from
-  /// `sampler.seed` + submission index so they stay independent of batch
-  /// composition, card count, and preemption schedule.
-  llama::SamplerConfig sampler;
-  /// Optional per-card KV pool override in bytes (0 / missing entries
-  /// fall back to `scheduler.kv_pool_bytes` / HBM derivation).
-  std::vector<std::uint64_t> kv_pool_bytes_per_card;
-  /// Migrate queued (never-prefilled) requests away from a dry shard.
-  bool rebalance_queued = true;
-  /// Serving-layer telemetry (per-request lifecycle tracing +
-  /// tick-sampled metrics). Both halves default off and cost ~nothing
-  /// while disabled; see docs/OBSERVABILITY.md.
-  obs::TelemetryConfig telemetry;
-  /// Per-card prefill/decode disaggregation roles (empty = every card
-  /// unified; otherwise one entry per card, see
-  /// serving::ValidateClusterRoles). Prefill shards ship finished KV to
-  /// decode shards over the modeled interconnect; token streams stay
-  /// byte-identical to unified mode.
-  std::vector<serving::ShardRole> shard_roles;
-  /// Remote-prefix arbitration at admission (fetch a remote card's
-  /// cached prefix over the interconnect vs. recompute locally).
-  serving::PrefixFetchPolicy prefix_fetch =
-      serving::PrefixFetchPolicy::kAuto;
 };
 
 /// Online streaming serving engine (see the file comment): submit
@@ -126,7 +96,9 @@ struct EngineConfig {
 class Engine {
  public:
   /// `program` and `weights` must outlive the engine. This overload
-  /// serves `config.num_cards` identical cards.
+  /// serves `config.num_cards` identical cards. An invalid card list or
+  /// config (serving::ValidateClusterConfig) builds no session: Submit,
+  /// Cancel and Finish then return that InvalidArgument.
   Engine(const accel::Program& program, const llama::Weights& weights,
          const hw::U280Config& u280, EngineConfig config = {});
   /// Heterogeneous-card overload: `cards` may differ in HBM capacity and
@@ -151,7 +123,7 @@ class Engine {
   /// ResourceExhausted when the request can never fit the model or the
   /// smallest card's KV pool; FailedPrecondition after Finish(). A valid
   /// handle does not guarantee service: under overload, admission
-  /// control (SchedulerConfig::admission) may shed the request at its
+  /// control (ClusterConfig::admission) may shed the request at its
   /// arrival event -- on_finish then fires with FinishReason::kShed.
   StatusOr<RequestHandle> Submit(serving::ServingRequest request,
                                  StreamCallbacks callbacks = {});
@@ -252,7 +224,7 @@ class Engine {
   const llama::Weights& weights_;
   hw::MultiCardConfig cards_;
   EngineConfig config_;
-  Status setup_;  // card-list validation outcome
+  Status setup_;  // card-list + ValidateClusterConfig outcome
   std::unique_ptr<serving::ClusterSession> session_;
   // Deques: callbacks may reentrantly Submit(), so element addresses
   // must survive growth while a callback is still executing.
@@ -266,8 +238,8 @@ class Engine {
 /// request in order (request i is stream i, so its sampler seed is
 /// `config.sampler.seed + i * 7919`), drains the clock and returns
 /// Finish()'s report. Fails with the first Submit error (card-list,
-/// role or request validation) or Finish's error; `config.num_cards` is
-/// ignored in favour of the card list.
+/// cluster-config or request validation) or Finish's error;
+/// `config.num_cards` is ignored in favour of the card list.
 StatusOr<serving::ClusterReport> RunOffline(
     const accel::Program& program, const llama::Weights& weights,
     hw::MultiCardConfig cards, const EngineConfig& config,

@@ -205,8 +205,8 @@ class MetricsRegistry {
 
 // ------------------------------------------------------------ telemetry
 
-/// Telemetry switches, surfaced through api::EngineConfig and
-/// serving::ClusterConfig. Both halves default off; a disabled half
+/// Telemetry switches: serving::ClusterConfig::telemetry (which
+/// api::EngineConfig inherits). Both halves default off; a disabled half
 /// costs one pointer test per would-be event.
 struct TelemetryConfig {
   /// Record per-request lifecycle events (RequestTraceRecorder).

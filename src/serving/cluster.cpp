@@ -49,7 +49,13 @@ std::string_view PrefixFetchPolicyName(PrefixFetchPolicy policy) {
   return "unknown";
 }
 
-Status ValidateClusterRoles(const ClusterConfig& config, int num_cards) {
+Status ValidateClusterConfig(const ClusterConfig& config, int num_cards) {
+  const SpeculativeConfig& spec = config.scheduler.speculative;
+  if (spec.draft_tokens > 0 && (!std::isfinite(spec.acceptance_rate) ||
+                                !std::isfinite(spec.draft_cost_ratio))) {
+    return InvalidArgument(
+        "speculative acceptance_rate / draft_cost_ratio must be finite");
+  }
   if (config.shard_roles.empty()) return Status::Ok();
   if (static_cast<int>(config.shard_roles.size()) != num_cards) {
     return InvalidArgument(
@@ -106,15 +112,14 @@ double ClusterReport::mean_utilization() const {
 ClusterSession::ClusterSession(const accel::Program& program,
                                const llama::Weights& weights,
                                const hw::MultiCardConfig& cards,
-                               const ClusterConfig& config,
-                               const llama::SamplerConfig& sampler_config)
+                               const ClusterConfig& config)
     : program_(program),
       weights_(weights),
       cards_(cards),
       config_(config),
-      sampler_config_(sampler_config),
       clock_mhz_(cards.cards.front().clock_mhz) {
-  config_.shard = NormalizeSchedulerConfig(config_.shard);
+  assert(ValidateClusterConfig(config_, cards_.num_cards()).ok());
+  config_.scheduler = NormalizeSchedulerConfig(config_.scheduler);
   if (config_.telemetry.enabled()) {
     telemetry_ = std::make_unique<obs::Telemetry>(config_.telemetry);
   }
@@ -127,7 +132,7 @@ ClusterSession::ClusterSession(const accel::Program& program,
   min_pool_blocks_ = std::numeric_limits<std::int64_t>::max();
   for (int c = 0; c < n; ++c) {
     const std::size_t ci = static_cast<std::size_t>(c);
-    SchedulerConfig shard_config = config_.shard;
+    SchedulerConfig shard_config = config_.scheduler;
     if (ci < cards_.kv_dtype_per_card.size()) {
       // Heterogeneous KV dtypes: each card's pool geometry (and hence
       // its block count) follows its own storage format.
@@ -137,12 +142,10 @@ ClusterSession::ClusterSession(const accel::Program& program,
         config_.kv_pool_bytes_per_card[ci] > 0) {
       shard_config.kv_pool_bytes = config_.kv_pool_bytes_per_card[ci];
     }
-    if (!config_.shard_roles.empty()) {
-      shard_config.role = config_.shard_roles[ci];
-    }
-    if (shard_config.role != ShardRole::kDecode) {
-      placeable_.push_back(ci);
-    }
+    const ShardRole role =
+        config_.shard_roles.empty() ? ShardRole::kUnified
+                                    : config_.shard_roles[ci];
+    if (role != ShardRole::kDecode) placeable_.push_back(ci);
     shard_config.kv_pool_bytes =
         DeriveKvPoolBytes(program, cards_.cards[ci], shard_config.kv_pool_bytes);
     const std::uint64_t block_bytes =
@@ -158,7 +161,7 @@ ClusterSession::ClusterSession(const accel::Program& program,
                                                      block_bytes));
     shards_.push_back(std::make_unique<ShardScheduler>(
         program, weights, cards_.cards[ci], shard_config, engine_,
-        *interconnect_, c));
+        *interconnect_, c, role));
     if (telemetry_ != nullptr) {
       shards_.back()->set_telemetry(telemetry_->MakeShardChannel(c));
     }
@@ -194,7 +197,7 @@ ClusterSession::ClusterSession(const accel::Program& program,
   }
   // Admission control starts from a full bucket; the first refill delta
   // is measured from t = 0.
-  bucket_tokens_ = config_.shard.admission.burst_tokens;
+  bucket_tokens_ = config_.admission.burst_tokens;
   bucket_refill_seconds_ = 0.0;
   if (telemetry_ != nullptr && telemetry_->metrics() != nullptr) {
     slo_metrics_ = true;
@@ -245,8 +248,8 @@ ClusterSession::ClusterSession(const accel::Program& program,
 }
 
 bool ClusterSession::ShouldShed(const ServingRequest& request, double now_s) {
-  const AdmissionConfig& adm = config_.shard.admission;
-  if (!adm.enable || adm.burst_tokens <= 0.0) return false;
+  const AdmissionConfig& adm = config_.admission;
+  if (adm.burst_tokens <= 0.0) return false;
   // Refill by the simulated time elapsed since the last arrival, then
   // draw this request's full eventual footprint. The tier's reserve
   // floor must survive the draw: best-effort requests bounce while the
@@ -306,7 +309,7 @@ void ClusterSession::ObserveSloMetrics(const RequestOutcome& outcome,
     return;
   }
   const std::size_t t = static_cast<std::size_t>(TierIndex(outcome.tier));
-  if (outcome.attains(config_.shard.tier_slo[t])) {
+  if (outcome.attains(config_.tier_slo[t])) {
     telemetry_->metrics()->Add(slo_attained_ids_[t], 1.0);
     telemetry_->metrics()->Add(
         goodput_ids_[t], static_cast<double>(outcome.generated.size()));
@@ -330,7 +333,7 @@ sim::Cycles ClusterSession::SecondsToCycles(double seconds) const {
 Status ClusterSession::Validate(const ServingRequest& request,
                                 const std::string& tag) const {
   return ValidateRequest(request, tag, program_.model, min_pool_blocks_,
-                         config_.shard.block_size_tokens);
+                         config_.scheduler.block_size_tokens);
 }
 
 void ClusterSession::set_emission_hooks(TokenEmissionHook on_token,
@@ -465,7 +468,7 @@ void ClusterSession::Place(std::size_t stream_index) {
   // cancel takes the unplaced path and the deferred Submit is skipped.
   if (MaybeFetchPrefix(stream_index, card)) return;
   rec.placed = true;
-  shards_[card]->Submit(*rec.request, stream_index, sampler_config_);
+  shards_[card]->Submit(*rec.request, stream_index, config_.sampler);
 }
 
 std::size_t ClusterSession::PickCard(const ServingRequest& request) {
@@ -485,7 +488,7 @@ std::size_t ClusterSession::PickCard(const ServingRequest& request) {
       // decode funding, and preemption. With tiers off every request is
       // equal and this is the plain outstanding-token count.
       const auto load = [&](std::size_t c) {
-        return config_.shard.enable_tiers
+        return config_.scheduler.enable_tiers
                    ? shards_[c]->outstanding_tokens_at_or_above(request.tier)
                    : shards_[c]->outstanding_tokens();
       };
@@ -600,7 +603,7 @@ void ClusterSession::Rebalance(std::size_t donor) {
       ev.detail = "from card " + std::to_string(donor);
       telemetry_->trace()->Record(std::move(ev));
     }
-    shards_[target]->Submit(*request, stream, sampler_config_);
+    shards_[target]->Submit(*request, stream, config_.sampler);
   }
 }
 
@@ -651,7 +654,7 @@ void ClusterSession::HandleHandoff(KvHandoff handoff, sim::Cycles ready,
     }
   }
   assert(dst >= 0 && "handoff hooks are only installed when a decode "
-                     "card exists (ValidateClusterRoles)");
+                     "card exists (ValidateClusterConfig)");
   const std::size_t stream = handoff.stream_index;
   const std::int64_t bytes = handoff.kv_bytes;
   const std::int64_t owed_tokens =
@@ -743,7 +746,7 @@ bool ClusterSession::MaybeFetchPrefix(std::size_t stream_index,
           telemetry_->trace()->Record(std::move(ev));
         }
         rec.placed = true;
-        shards_[dst]->Submit(*rec.request, stream_index, sampler_config_);
+        shards_[dst]->Submit(*rec.request, stream_index, config_.sampler);
       });
   return true;
 }
@@ -853,7 +856,7 @@ ClusterReport ClusterSession::Harvest() {
   if (telemetry_ != nullptr && telemetry_->trace() != nullptr) {
     obs::GoodputAccounting acc =
         obs::ComputeGoodput(telemetry_->trace()->events(),
-                            config_.shard.tier_slo, m.makespan_seconds);
+                            config_.tier_slo, m.makespan_seconds);
     m.tiers = acc.tiers;
     m.goodput_tokens_per_second = acc.goodput_tokens_per_second;
   }

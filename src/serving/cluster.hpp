@@ -83,38 +83,84 @@ enum class PrefixFetchPolicy {
 /// Human-readable fetch-policy name ("auto" / "always" / "never").
 std::string_view PrefixFetchPolicyName(PrefixFetchPolicy policy);
 
-/// Cluster-level knobs: placement policy, per-card scheduler config,
-/// optional per-card KV pool sizes, rebalancing, and telemetry.
+/// Cluster-level admission control (load shedding). When `burst_tokens`
+/// is positive, every arriving request draws `prompt + max_new_tokens`
+/// tokens from a deterministic token bucket refilled at
+/// `rate_tokens_per_second` of simulated time; a request whose tier's
+/// reserve floor cannot be met is rejected before placement with
+/// FinishReason::kShed (its on_finish callback fires, no tokens ever
+/// stream). Because the bucket depends only on the arrival trace and
+/// this config -- never on card count, placement, or scheduling -- the
+/// shed set is identical across cluster sizes (locked by
+/// tests/test_slo.cpp).
+struct AdmissionConfig {
+  /// Sustained token budget per second of simulated time.
+  double rate_tokens_per_second = 0.0;
+  /// Bucket capacity: the burst the cluster absorbs at full reserve.
+  /// 0 (the default) turns shedding off: every request is admitted.
+  double burst_tokens = 0.0;
+  /// Per-tier reserve floor, indexed by TierIndex: tier T is admitted
+  /// only while the bucket holds at least `tier_reserve_fraction[T] *
+  /// burst_tokens` (after its own draw). Interactive's 0 floor means it
+  /// is shed only when the bucket is truly dry; best-effort's high floor
+  /// sheds it first as load approaches saturation.
+  std::array<double, kNumTiers> tier_reserve_fraction = {0.0, 0.2, 0.5};
+};
+
+/// Per-tier TTFT/TPOT targets, indexed by TierIndex. Defaults are
+/// all-unbounded (every finished request attains); benches and tests set
+/// explicit targets. Goodput in ServingReport is computed against these.
+using TierSloTargets = std::array<TierSlo, kNumTiers>;
+
+/// Every setting of one cluster timeline: placement, the per-card
+/// scheduler, sampling, per-card KV pool sizes, rebalancing, telemetry,
+/// disaggregation roles, prefix fetching, admission control and the SLO
+/// targets. api::EngineConfig extends it with a card count.
 struct ClusterConfig {
   /// Placement policy routing each arrival to a card.
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
-  /// Per-card scheduler knobs (batch policy, budgets, block size, ...).
-  SchedulerConfig shard;
-  /// Optional per-card KV pool override in bytes; entry 0 (or an empty
-  /// vector) falls back to `shard.kv_pool_bytes` / HBM derivation. Lets
-  /// tests and heterogeneous deployments size each card's pool apart.
+  /// Per-card scheduler knobs (batch policy, budgets, block size, KV
+  /// dtype, DMA costing, speculation, ...).
+  SchedulerConfig scheduler;
+  /// Default sampling parameters; per-request streams are seeded from
+  /// `sampler.seed` + submission index so they stay independent of batch
+  /// composition, card count, and preemption schedule.
+  llama::SamplerConfig sampler;
+  /// Optional per-card KV pool override in bytes; 0 / missing entries
+  /// fall back to `scheduler.kv_pool_bytes` / HBM derivation. Lets tests
+  /// and heterogeneous deployments size each card's pool apart.
   std::vector<std::uint64_t> kv_pool_bytes_per_card;
   /// Migrate queued (never-prefilled) requests away from a dry shard.
   bool rebalance_queued = true;
-  /// Serving-layer telemetry switches (lifecycle tracing + tick-sampled
-  /// metrics). Off by default.
+  /// Serving-layer telemetry (per-request lifecycle tracing +
+  /// tick-sampled metrics). Both halves default off and cost ~nothing
+  /// while disabled; see docs/OBSERVABILITY.md.
   obs::TelemetryConfig telemetry;
   /// Per-card shard roles for disaggregated prefill/decode serving.
   /// Empty means every card is ShardRole::kUnified; otherwise one entry
-  /// per card (ValidateClusterRoles). Prefill shards ship finished KV to
-  /// a decode shard over the interconnect as a costed transfer.
+  /// per card (ValidateClusterConfig). Prefill shards ship finished KV
+  /// to a decode shard over the interconnect as a costed transfer; token
+  /// streams stay byte-identical to unified mode.
   std::vector<ShardRole> shard_roles;
   /// Remote-prefix arbitration at admission (see PrefixFetchPolicy).
   PrefixFetchPolicy prefix_fetch = PrefixFetchPolicy::kAuto;
+  /// Load shedding, evaluated at each arrival before placement (a
+  /// one-card cluster sheds identically to an N-card one); see
+  /// AdmissionConfig.
+  AdmissionConfig admission;
+  /// Per-tier TTFT/TPOT SLO targets goodput is computed against.
+  TierSloTargets tier_slo{};
 };
 
-/// Validates the cluster-level disaggregation knobs against a card
-/// count: `shard_roles` must be empty or one entry per card, at least
-/// one card must be prefill-capable (kUnified or kPrefill), and prefill
-/// and decode specialists must come in (at least) pairs -- a kPrefill
-/// card needs somewhere to ship KV, and a kDecode card needs someone to
-/// feed it.
-Status ValidateClusterRoles(const ClusterConfig& config, int num_cards);
+/// Validates a cluster config against a card count. `shard_roles` must
+/// be empty or one entry per card, at least one card must be
+/// prefill-capable (kUnified or kPrefill), and prefill and decode
+/// specialists must come in (at least) pairs -- a kPrefill card needs
+/// somewhere to ship KV, and a kDecode card needs someone to feed it.
+/// With speculation on, `acceptance_rate` and `draft_cost_ratio` must be
+/// finite (NormalizeSchedulerConfig clamps every other out-of-range
+/// knob). InvalidArgument names the first violation.
+Status ValidateClusterConfig(const ClusterConfig& config, int num_cards);
 
 /// Merged + per-card results of one cluster timeline.
 struct ClusterReport {
@@ -181,12 +227,13 @@ struct ClusterReport {
 /// (api::RunOffline) is one session fed every arrival up front.
 class ClusterSession {
  public:
-  /// `program` and `weights` must outlive the session; `cards` must
-  /// already be validated and `config.shard` normalized. Copies `cards`,
-  /// `config`, and `sampler_config`.
+  /// `program` and `weights` must outlive the session. Preconditions:
+  /// `cards.Validate()` and `ValidateClusterConfig(config,
+  /// cards.num_cards())` are OK (api::Engine checks both and reports a
+  /// Status). Copies `cards` and `config`; normalizes the scheduler
+  /// knobs.
   ClusterSession(const accel::Program& program, const llama::Weights& weights,
-                 const hw::MultiCardConfig& cards, const ClusterConfig& config,
-                 const llama::SamplerConfig& sampler_config);
+                 const hw::MultiCardConfig& cards, const ClusterConfig& config);
   /// Destroys the session; unharvested outcomes are discarded.
   ~ClusterSession();
 
@@ -303,7 +350,6 @@ class ClusterSession {
   const llama::Weights& weights_;
   hw::MultiCardConfig cards_;
   ClusterConfig config_;
-  llama::SamplerConfig sampler_config_;
   double clock_mhz_ = 0.0;
   std::int64_t min_pool_blocks_ = 0;
 

@@ -24,7 +24,6 @@
 // (runtime::RunRoundRobinBaseline) and a width-1 scheduler agree.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -63,35 +62,6 @@ enum class ShardRole : std::uint8_t {
 /// Human-readable role name ("unified" / "prefill" / "decode").
 std::string_view ShardRoleName(ShardRole role);
 
-/// Cluster-level admission control (load shedding). When enabled, every
-/// arriving request draws `prompt + max_new_tokens` tokens from a
-/// deterministic token bucket refilled at `rate_tokens_per_second` of
-/// simulated time; a request whose tier's reserve floor cannot be met is
-/// rejected before placement with FinishReason::kShed (its on_finish
-/// callback fires, no tokens ever stream). Because the bucket depends
-/// only on the arrival trace and this config -- never on card count,
-/// placement, or scheduling -- the shed set is identical across cluster
-/// sizes (locked by tests/test_slo.cpp).
-struct AdmissionConfig {
-  /// Master switch; off (the default) admits everything.
-  bool enable = false;
-  /// Sustained token budget per second of simulated time.
-  double rate_tokens_per_second = 0.0;
-  /// Bucket capacity: the burst the cluster absorbs at full reserve.
-  double burst_tokens = 0.0;
-  /// Per-tier reserve floor, indexed by TierIndex: tier T is admitted
-  /// only while the bucket holds at least `tier_reserve_fraction[T] *
-  /// burst_tokens` (after its own draw). Interactive's 0 floor means it
-  /// is shed only when the bucket is truly dry; best-effort's high floor
-  /// sheds it first as load approaches saturation.
-  std::array<double, kNumTiers> tier_reserve_fraction = {0.0, 0.2, 0.5};
-};
-
-/// Per-tier TTFT/TPOT targets, indexed by TierIndex. Defaults are
-/// all-unbounded (every finished request attains); benches and tests set
-/// explicit targets. Goodput in ServingReport is computed against these.
-using TierSloTargets = std::array<TierSlo, kNumTiers>;
-
 /// Draft-and-verify speculative decoding. Each decode tick a cheap draft
 /// model proposes up to `draft_tokens` tokens per sequence; the grouped
 /// verify pass prices the pending token plus every draft as one packed
@@ -122,7 +92,7 @@ struct SpeculativeConfig {
 };
 
 /// Knobs of one card's continuous-batching scheduler (shared verbatim by
-/// every cluster shard and api::EngineConfig).
+/// every shard of a cluster; see ClusterConfig::scheduler).
 struct SchedulerConfig {
   /// Admission-ordering policy; see BatchPolicy.
   BatchPolicy policy = BatchPolicy::kFcfs;
@@ -170,15 +140,6 @@ struct SchedulerConfig {
   /// reorders scheduling -- token streams are byte-identical on or off
   /// at equal admission (locked by tests/test_slo.cpp).
   bool enable_tiers = false;
-  /// Per-tier TTFT/TPOT SLO targets goodput is computed against.
-  TierSloTargets tier_slo{};
-  /// Cluster-level load shedding; see AdmissionConfig. Evaluated before
-  /// placement by ClusterSession / api::Engine (a one-card cluster sheds
-  /// identically to an N-card one).
-  AdmissionConfig admission;
-  /// This shard's disaggregation role; set per card by ClusterSession
-  /// from ClusterConfig::shard_roles. See ShardRole.
-  ShardRole role = ShardRole::kUnified;
   /// Draft-and-verify speculative decoding; see SpeculativeConfig.
   SpeculativeConfig speculative;
 };

@@ -110,7 +110,7 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
                                const hw::U280Config& u280,
                                const SchedulerConfig& config,
                                sim::Engine& engine, Interconnect& interconnect,
-                               std::int32_t card)
+                               std::int32_t card, ShardRole role)
     : program_(program),
       weights_(weights),
       u280_(u280),
@@ -123,6 +123,7 @@ ShardScheduler::ShardScheduler(const accel::Program& program,
           config.block_size_tokens, config.enable_prefix_cache)),
       interconnect_(interconnect),
       card_id_(card),
+      role_(role),
       tick_cost_(shared_seconds_, kSharedShareCap) {}
 
 ShardScheduler::~ShardScheduler() = default;
@@ -1118,7 +1119,7 @@ bool ShardScheduler::PrefillChunk(std::size_t seq_id, std::int32_t chunk) {
       }
     }
     seq.state = SeqState::kDecode;
-    if (config_.role == ShardRole::kPrefill && handoff_hook_) {
+    if (role_ == ShardRole::kPrefill && handoff_hook_) {
       // Prefill-role shard: ship the finished KV to a decode shard at
       // tick close (after TTFT is stamped). A mid-tick preemption
       // revokes the plan -- the KV is gone, so it recomputes and hands

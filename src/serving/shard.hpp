@@ -76,11 +76,12 @@ class ShardScheduler {
   /// shard. `config` must already be normalized. Ticks are scheduled on
   /// `engine`; the caller drives engine.Run(). All COW/restore/swap DMA
   /// queues on `interconnect`'s HBM stations for card `card`,
-  /// serializing with concurrent KV transfers.
+  /// serializing with concurrent KV transfers. `role` is the shard's
+  /// disaggregation role (ClusterConfig::shard_roles).
   ShardScheduler(const accel::Program& program, const llama::Weights& weights,
                  const hw::U280Config& u280, const SchedulerConfig& config,
                  sim::Engine& engine, Interconnect& interconnect,
-                 std::int32_t card);
+                 std::int32_t card, ShardRole role = ShardRole::kUnified);
   /// Destroys the shard; unharvested outcomes are discarded.
   ~ShardScheduler();
 
@@ -162,8 +163,8 @@ class ShardScheduler {
   /// attachment). Scheduling state stays shard-owned.
   KvBlockPool& mutable_pool() { return pool_; }
 
-  /// This shard's disaggregation role (from SchedulerConfig::role).
-  ShardRole role() const { return config_.role; }
+  /// This shard's disaggregation role (set at construction).
+  ShardRole role() const { return role_; }
 
   // ----- telemetry -----
   /// Attaches the cluster's telemetry channel (lifecycle trace sink +
@@ -456,6 +457,7 @@ class ShardScheduler {
   HandoffHook handoff_hook_;
   Interconnect& interconnect_;  // cluster-shared stations
   std::int32_t card_id_ = 0;
+  ShardRole role_ = ShardRole::kUnified;
   sim::Cycles dma_charged_until_ = 0;  // end of the last time-charged DMA
   obs::ShardChannel telemetry_;
   TokenEmissionHook on_token_;

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/engine.hpp"
@@ -554,26 +555,41 @@ TEST(ApiEngineTest, SubmitRejectsOutOfRangeTier) {
             static_cast<std::size_t>(serving::kNumTiers));
 }
 
-TEST(ApiEngineTest, NonFiniteSpeculationSettingsAreRejectedAtConstruction) {
+TEST(ApiEngineTest, InvalidClusterConfigsAreRejectedAtConstruction) {
   Fixture f;
   auto prog = f.Compile();
-  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+  std::vector<std::pair<std::string, EngineConfig>> bad;
+  for (double value : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     for (bool in_rate : {true, false}) {
       EngineConfig config;
       serving::SpeculativeConfig& spec = config.scheduler.speculative;
       spec.draft_tokens = 4;
-      if (in_rate) {
-        spec.acceptance_rate = bad;
-      } else {
-        spec.draft_cost_ratio = bad;
-      }
-      Engine engine(prog, f.weights, f.u280, config);
-      SCOPED_TRACE(std::string(in_rate ? "acceptance_rate " : "cost_ratio ") +
-                   std::to_string(bad));
-      EXPECT_EQ(engine.Submit(MakeRequest(4, 4, 0.0)).status().code(),
-                StatusCode::kInvalidArgument);
-      EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+      (in_rate ? spec.acceptance_rate : spec.draft_cost_ratio) = value;
+      const std::string knob = in_rate ? "acceptance_rate " : "cost_ratio ";
+      bad.emplace_back(knob + std::to_string(value), config);
     }
+  }
+  // Two decode cards leave arrivals nowhere to land, and two prefill
+  // cards nowhere to ship KV.
+  using serving::ShardRole;
+  for (ShardRole role : {ShardRole::kDecode, ShardRole::kPrefill}) {
+    EngineConfig config;
+    config.num_cards = 2;
+    config.shard_roles = {role, role};
+    const std::string name{serving::ShardRoleName(role)};
+    bad.emplace_back("roles " + name, config);
+  }
+  const std::vector<serving::ServingRequest> reqs = {MakeRequest(4, 4, 0.0)};
+  for (const auto& [tag, config] : bad) {
+    SCOPED_TRACE(tag);
+    Engine engine(prog, f.weights, f.u280, config);
+    EXPECT_EQ(engine.Submit(reqs.front()).status().code(),
+              StatusCode::kInvalidArgument);
+    engine.RunToCompletion();
+    EXPECT_EQ(engine.Finish().status().code(), StatusCode::kInvalidArgument);
+    auto cards = hw::MultiCardConfig::Homogeneous(f.u280, config.num_cards);
+    EXPECT_EQ(RunOffline(prog, f.weights, cards, config, reqs).status().code(),
+              StatusCode::kInvalidArgument);
   }
   // k = 0 is speculation off: its other settings are never read.
   EngineConfig off;

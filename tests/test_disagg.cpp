@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -138,22 +139,40 @@ TEST(InterconnectTest, CrossCardTransferCrossesReadLinkWrite) {
   EXPECT_EQ(ic.num_transfers(), 1);
 }
 
-// ---------------- role validation ----------------
+// ---------------- cluster config validation ----------------
 
-TEST(DisaggTest, ValidateClusterRolesRejectsBadAssignments) {
+TEST(DisaggTest, ValidateClusterConfigRejectsBadInput) {
   ClusterConfig config;
-  EXPECT_TRUE(ValidateClusterRoles(config, 3).ok());  // empty = unified
+  EXPECT_TRUE(ValidateClusterConfig(config, 3).ok());  // empty = unified
   config.shard_roles = {ShardRole::kPrefill, ShardRole::kDecode};
-  EXPECT_TRUE(ValidateClusterRoles(config, 2).ok());
-  EXPECT_FALSE(ValidateClusterRoles(config, 3).ok());  // size mismatch
+  EXPECT_TRUE(ValidateClusterConfig(config, 2).ok());
+  EXPECT_FALSE(ValidateClusterConfig(config, 3).ok());  // size mismatch
   config.shard_roles = {ShardRole::kDecode, ShardRole::kDecode};
-  EXPECT_FALSE(ValidateClusterRoles(config, 2).ok());  // nobody prefills
+  EXPECT_FALSE(ValidateClusterConfig(config, 2).ok());  // nobody prefills
   config.shard_roles = {ShardRole::kPrefill, ShardRole::kUnified};
-  EXPECT_FALSE(ValidateClusterRoles(config, 2).ok());  // no decode target
+  EXPECT_FALSE(ValidateClusterConfig(config, 2).ok());  // no decode target
   config.shard_roles = {ShardRole::kUnified, ShardRole::kDecode};
-  EXPECT_FALSE(ValidateClusterRoles(config, 2).ok());  // no prefill feeder
+  EXPECT_FALSE(ValidateClusterConfig(config, 2).ok());  // no prefill feeder
   config.shard_roles = {ShardRole::kUnified, ShardRole::kUnified};
-  EXPECT_TRUE(ValidateClusterRoles(config, 2).ok());
+  EXPECT_TRUE(ValidateClusterConfig(config, 2).ok());
+
+  // Speculation knobs: out-of-range values are clamped downstream, but
+  // a non-finite rate or cost ratio has no sane clamp.
+  config.shard_roles.clear();
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    ClusterConfig spec = config;
+    spec.scheduler.speculative.draft_tokens = 4;
+    spec.scheduler.speculative.acceptance_rate = bad;
+    EXPECT_EQ(ValidateClusterConfig(spec, 1).code(),
+              StatusCode::kInvalidArgument);
+    spec.scheduler.speculative.acceptance_rate = 0.7;
+    spec.scheduler.speculative.draft_cost_ratio = bad;
+    EXPECT_EQ(ValidateClusterConfig(spec, 1).code(),
+              StatusCode::kInvalidArgument);
+    spec.scheduler.speculative.draft_cost_ratio = 0.15;
+    EXPECT_TRUE(ValidateClusterConfig(spec, 1).ok());
+  }
 }
 
 // ---------------- byte-identity property tests ----------------

@@ -110,9 +110,8 @@ TEST(SloTest, TiersOnOffByteIdenticalAtEqualAdmission) {
   // streams must be byte-identical because tier logic only *reorders*
   // scheduling -- per-request sampler seeding pins the tokens.
   api::EngineConfig base;
-  base.scheduler.admission.enable = true;
-  base.scheduler.admission.rate_tokens_per_second = 20000.0;
-  base.scheduler.admission.burst_tokens = 60.0;
+  base.admission.rate_tokens_per_second = 20000.0;
+  base.admission.burst_tokens = 60.0;
   api::EngineConfig tiered = base;
   tiered.scheduler.enable_tiers = true;
 
@@ -138,9 +137,8 @@ TEST(SloTest, ShedSetIsIdenticalAcrossCardCounts) {
 
   api::EngineConfig config;
   config.scheduler.enable_tiers = true;
-  config.scheduler.admission.enable = true;
-  config.scheduler.admission.rate_tokens_per_second = 30000.0;
-  config.scheduler.admission.burst_tokens = 60.0;
+  config.admission.rate_tokens_per_second = 30000.0;
+  config.admission.burst_tokens = 60.0;
 
   auto one = MustRun(f, prog, reqs, config, 1, Stochastic());
   auto two = MustRun(f, prog, reqs, config, 2, Stochastic());
@@ -160,6 +158,26 @@ TEST(SloTest, ShedSetIsIdenticalAcrossCardCounts) {
   }
 }
 
+TEST(SloTest, ZeroBurstShedsNothing) {
+  Fixture f;
+  auto prog = f.Compile();
+  // The overloaded trace above, with a refill rate but no bucket: a zero
+  // burst turns admission control off whatever the rate.
+  const auto reqs = MixedTierTrace(f.config, 40, 8000.0);
+
+  api::EngineConfig config;
+  config.scheduler.enable_tiers = true;
+  config.admission.rate_tokens_per_second = 30000.0;
+  config.admission.burst_tokens = 0.0;
+
+  auto report = MustRun(f, prog, reqs, config, 2, Stochastic());
+  EXPECT_TRUE(ShedSet(report.merged).empty());
+  EXPECT_EQ(report.merged.shed_requests, 0);
+  for (const RequestOutcome& out : report.merged.outcomes) {
+    EXPECT_FALSE(out.generated.empty());
+  }
+}
+
 // ---------------- goodput reconciliation ------------------------------
 
 TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
@@ -170,16 +188,15 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
   api::EngineConfig config;
   config.telemetry.enable_tracing = true;
   config.scheduler.enable_tiers = true;
-  config.scheduler.admission.enable = true;
-  config.scheduler.admission.rate_tokens_per_second = 30000.0;
-  config.scheduler.admission.burst_tokens = 80.0;
+  config.admission.rate_tokens_per_second = 30000.0;
+  config.admission.burst_tokens = 80.0;
   // Targets far from any boundary, so sub-cycle timestamp rounding in
   // the event stream cannot flip an attainment verdict: interactive
   // attains freely, standard (1 ps TTFT) can never attain, best-effort
   // is unbounded.
-  config.scheduler.tier_slo[TierIndex(RequestTier::kInteractive)]
+  config.tier_slo[TierIndex(RequestTier::kInteractive)]
       .ttft_target_seconds = 10.0;
-  config.scheduler.tier_slo[TierIndex(RequestTier::kStandard)]
+  config.tier_slo[TierIndex(RequestTier::kStandard)]
       .ttft_target_seconds = 1e-12;
 
   auto report = MustRun(f, prog, reqs, config, 2, Stochastic());
@@ -203,7 +220,7 @@ TEST(SloTest, TraceDerivedGoodputReconcilesWithOutcomes) {
     tier.generated_tokens +=
         static_cast<std::int64_t>(out.generated.size());
     if (out.attains(
-            config.scheduler.tier_slo[static_cast<std::size_t>(
+            config.tier_slo[static_cast<std::size_t>(
                 TierIndex(out.tier))])) {
       ++tier.slo_attained_requests;
       tier.goodput_tokens += static_cast<std::int64_t>(out.generated.size());
@@ -314,11 +331,10 @@ TEST(SloTest, ShedRejectionsSurfaceThroughEngineCallbacks) {
   api::EngineConfig config;
   config.sampler = Stochastic();
   config.scheduler.enable_tiers = true;
-  config.scheduler.admission.enable = true;
   // Bucket of 20 tokens and no refill: the first interactive request
   // (cost 4 + 8 = 12) is admitted, the rest of the burst bounces.
-  config.scheduler.admission.rate_tokens_per_second = 0.0;
-  config.scheduler.admission.burst_tokens = 20.0;
+  config.admission.rate_tokens_per_second = 0.0;
+  config.admission.burst_tokens = 20.0;
 
   api::Engine engine(prog, f.weights, f.u280, config);
   std::vector<serving::FinishReason> reasons(3, FinishReason::kNone);

@@ -196,7 +196,8 @@ RunResult RunOnce(const accel::Program& prog, const Fixture& f,
                   const llama::SamplerConfig& sc) {
   config.telemetry.enable_tracing = true;
   config.telemetry.enable_metrics = true;
-  ClusterSession session(prog, f.weights, cards, config, sc);
+  config.sampler = sc;
+  ClusterSession session(prog, f.weights, cards, config);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     session.SubmitAt(&reqs[i], i,
                      session.SecondsToCycles(reqs[i].arrival_seconds));
@@ -255,7 +256,7 @@ TEST(SpeculativeTest, StreamsIdenticalAcrossPlacementsAndCardCounts) {
       off.placement = placement;
       off.rebalance_queued = false;
       ClusterConfig on = off;
-      on.shard.speculative = DefaultSpec();
+      on.scheduler.speculative = DefaultSpec();
       const std::string tag = std::to_string(num_cards) + "-cards/" +
                               std::string(PlacementPolicyName(placement));
       RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
@@ -280,10 +281,10 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
     ClusterConfig off;
     off.placement = PlacementPolicy::kPrefixAffinity;
     off.rebalance_queued = false;
-    off.shard.enable_prefix_cache = false;
-    off.shard.block_size_tokens = 8;
+    off.scheduler.enable_prefix_cache = false;
+    off.scheduler.block_size_tokens = 8;
     ClusterConfig on = off;
-    on.shard.speculative = DefaultSpec();
+    on.scheduler.speculative = DefaultSpec();
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "cache-off");
   }
@@ -298,7 +299,7 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
     off.placement = PlacementPolicy::kRoundRobin;
     off.rebalance_queued = false;
     ClusterConfig on = off;
-    on.shard.speculative = DefaultSpec();
+    on.scheduler.speculative = DefaultSpec();
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "kv-dtype-mix");
     cards.kv_dtype_per_card.clear();
@@ -314,7 +315,7 @@ TEST(SpeculativeTest, StreamsIdenticalWithCachingDtypesAndRoles) {
                        ShardRole::kDecode,  ShardRole::kUnified,
                        ShardRole::kUnified, ShardRole::kDecode};
     ClusterConfig on = off;
-    on.shard.speculative = DefaultSpec();
+    on.scheduler.speculative = DefaultSpec();
     ExpectSameStreams(RunOnce(prog, f, cards, off, reqs, sc),
                       RunOnce(prog, f, cards, on, reqs, sc), "role-split");
   }
@@ -334,10 +335,10 @@ TEST(SpeculativeTest, KZeroIsByteIdenticalIncludingTiming) {
   ClusterConfig off;
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
-  off.shard.max_batch_tokens = 1;
-  off.shard.speculative.draft_tokens = 0;
+  off.scheduler.max_batch_tokens = 1;
+  off.scheduler.speculative.draft_tokens = 0;
   ClusterConfig on = off;
-  on.shard.speculative.draft_tokens = 4;
+  on.scheduler.speculative.draft_tokens = 4;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "k=0");
@@ -361,8 +362,8 @@ TEST(SpeculativeTest, AlwaysRejectKeepsStreamsAndAccountsWaste) {
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
   ClusterConfig on = off;
-  on.shard.speculative = DefaultSpec();
-  on.shard.speculative.acceptance_rate = 0.0;
+  on.scheduler.speculative = DefaultSpec();
+  on.scheduler.speculative.acceptance_rate = 0.0;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "always-reject");
@@ -386,8 +387,8 @@ TEST(SpeculativeTest, AlwaysAcceptCommitsRunsAndIsStrictlyFaster) {
   off.placement = PlacementPolicy::kRoundRobin;
   off.rebalance_queued = false;
   ClusterConfig on = off;
-  on.shard.speculative = DefaultSpec();
-  on.shard.speculative.acceptance_rate = 1.0;
+  on.scheduler.speculative = DefaultSpec();
+  on.scheduler.speculative.acceptance_rate = 1.0;
   RunResult off_r = RunOnce(prog, f, cards, off, reqs, sc);
   RunResult on_r = RunOnce(prog, f, cards, on, reqs, sc);
   ExpectSameStreams(off_r, on_r, "always-accept");
