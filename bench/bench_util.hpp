@@ -49,17 +49,16 @@ inline bool WriteBenchJson(
   return true;
 }
 
-/// Maps the common --preset flag to a model shape. An unknown name exits
-/// with status 1, so a typo cannot silently run another model.
+/// Maps the common --preset flag to a model shape
+/// (llama::ModelConfig::FromPreset). An unknown name exits with status 1,
+/// so a typo cannot silently run another model.
 inline llama::ModelConfig PresetFromFlag(const std::string& preset) {
-  if (preset == "tiny") return llama::ModelConfig::Tiny();
-  if (preset == "stories15m") return llama::ModelConfig::Stories15M();
-  if (preset == "stories110m") return llama::ModelConfig::Stories110M();
-  std::fprintf(stderr,
-               "unknown --preset '%s' (expected tiny, stories15m or "
-               "stories110m)\n",
-               preset.c_str());
-  std::exit(1);
+  StatusOr<llama::ModelConfig> config = llama::ModelConfig::FromPreset(preset);
+  if (!config.ok()) {
+    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
+    std::exit(1);
+  }
+  return *config;
 }
 
 /// Deterministic prompt token ids (synthetic "story opening").

@@ -278,9 +278,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  llama::ModelConfig model = cl.GetString("preset", "tiny") == "stories15m"
-                                 ? llama::ModelConfig::Stories15M()
-                                 : llama::ModelConfig::Tiny();
+  auto model_or = llama::ModelConfig::FromPreset(
+      cl.GetString("preset", "tiny"));
+  if (!model_or.ok()) {
+    std::fprintf(stderr, "%s\n", model_or.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig model = *model_or;
   llama::Weights weights = llama::GenerateSyntheticWeights(model, 42);
   auto u280 = hw::U280Config::Default();
   auto compiled = compiler::Compile(

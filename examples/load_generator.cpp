@@ -40,9 +40,13 @@ int main(int argc, char** argv) {
   const std::string policy_name = cl.GetString("policy", "fcfs");
   const std::uint64_t seed = static_cast<std::uint64_t>(cl.GetInt("seed", 11));
 
-  llama::ModelConfig config = cl.GetString("preset", "tiny") == "stories15m"
-                                  ? llama::ModelConfig::Stories15M()
-                                  : llama::ModelConfig::Tiny();
+  auto config_or = llama::ModelConfig::FromPreset(
+      cl.GetString("preset", "tiny"));
+  if (!config_or.ok()) {
+    std::fprintf(stderr, "%s\n", config_or.status().ToString().c_str());
+    return 1;
+  }
+  llama::ModelConfig config = *config_or;
   llama::Weights weights = llama::GenerateSyntheticWeights(config, 42);
   auto u280 = hw::U280Config::Default();
   auto compiled = compiler::Compile(

@@ -91,4 +91,12 @@ ModelConfig ModelConfig::Tiny() {
   return c;
 }
 
+StatusOr<ModelConfig> ModelConfig::FromPreset(std::string_view name) {
+  if (name == "tiny") return Tiny();
+  if (name == "stories15m") return Stories15M();
+  if (name == "stories110m") return Stories110M();
+  return InvalidArgument("unknown preset '" + std::string(name) +
+                         "' (expected tiny, stories15m or stories110m)");
+}
+
 }  // namespace speedllm::llama
